@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes make the tool scriptable as a decision procedure: 0 success,
-1 relation absent / witness invalid, 2 usage errors.  Identical arguments
-and seed produce byte-identical outputs regardless of --workers.
+1 relation absent / witness invalid, 2 usage errors and malformed input.
+Identical arguments and seed produce byte-identical outputs regardless of
+--workers.
 """
 
 from __future__ import annotations

@@ -43,6 +43,10 @@ from .words import Word
 # Chunk size for the batched scans; results never depend on it.
 _CHUNK = 1 << 16
 
+# Encoded bits per packed block of verify_witness samples; results never
+# depend on it.
+_VERIFY_BITS = 1 << 18
+
 _DUAL_ARR = np.array(_DUAL, dtype=np.uint16)
 
 
@@ -140,9 +144,18 @@ class EmulationWitness:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "EmulationWitness":
-        k = int(d["k"])
-        enc = Encoding(k, Word.from_text(d["enc0"]), Word.from_text(d["enc1"]))
-        return cls(rule_from_wolfram(int(d["f"])), rule_from_wolfram(int(d["g"])), k, enc)
+        """Inverse of to_json_dict; any other shape raises ValueError."""
+        try:
+            f, g, k, e0, e1 = (d[key] for key in ("f", "g", "k", "enc0", "enc1"))
+            if not (all(type(v) is int for v in (f, g, k))
+                    and all(type(v) is str for v in (e0, e1))):
+                raise ValueError("witness needs integers f, g, k and strings enc0, enc1")
+            enc = Encoding(k, Word.from_text(e0), Word.from_text(e1))
+            return cls(rule_from_wolfram(f), rule_from_wolfram(g), k, enc)
+        except KeyError as exc:
+            raise ValueError(f"witness has no field {exc}") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed witness: {exc}") from None
 
 
 def _make_witness(f: EcaRule, g: EcaRule, k: int, e0: int, e1: int) -> EmulationWitness:
@@ -359,6 +372,14 @@ def verify_witness(w: EmulationWitness, length: int, horizon: int,
     encoded word.  The eight 3-cell neighborhoods are always checked first,
     so a witness violating the defining equations fails regardless of the
     sample draw.
+
+    The samples are checked side by side: consecutive draws are packed into
+    one integer, sample j at cell offset j*length, and every unravelling
+    step runs once on the whole word.  A window never mixes the valid
+    cells of two samples, and the garbage it makes lands only in cells the
+    step drops, so each step ends with one masked comparison.  The draws
+    are the same as one sample at a time, so the verdict is too, bit for
+    bit.  Blocks of at most ``_VERIFY_BITS`` encoded bits bound memory.
     """
     if horizon < 0:
         raise ValueError(f"negative horizon {horizon}")
@@ -368,37 +389,56 @@ def verify_witness(w: EmulationWitness, length: int, horizon: int,
         raise ValueError(f"negative sample count {samples}")
     if not w.holds():
         return False
-    f, g, k, enc = w.emulated.wolfram, w.emulator.wolfram, w.k, w.encoding
-
-    # 8-cell chunk table makes blockwise encoding ~8x faster.
-    e0, e1 = enc.enc0.bits, enc.enc1.bits
-    chunk = [0] * 256
-    for byte in range(256):
-        acc = 0
-        for i in range(8):
-            acc |= (e1 if (byte >> i) & 1 else e0) << (k * i)
-        chunk[byte] = acc
+    f, g, k = w.emulated.wolfram, w.emulator.wolfram, w.k
+    table = _encoding_table(w.encoding)
 
     def encode_bits(bits: int, m: int) -> int:
-        acc = 0
-        for j in range((m + 7) // 8):
-            acc |= chunk[(bits >> (8 * j)) & 0xFF] << (8 * k * j)
-        return acc & ((1 << (k * m)) - 1)
+        # Cell i becomes bits k*i..k*i+k-1, so byte j becomes bytes k*j..k*j+k-1.
+        cells = np.frombuffer(bits.to_bytes((m + 7) // 8, "little"), np.uint8)
+        return int.from_bytes(table[cells].tobytes(), "little")
 
     rng = random.Random(seed)
-    for _ in range(samples):
-        c = rng.getrandbits(length)
-        gbits = encode_bits(c, length)
-        fbits = c
+    per_block = max(1, _VERIFY_BITS // (k * length))
+    for lo in range(0, samples, per_block):
+        n = min(per_block, samples - lo)
+        fbits = _pack([rng.getrandbits(length) for _ in range(n)], length)
+        gbits = encode_bits(fbits, n * length)
+        rep = ((1 << k * n * length) - 1) // ((1 << k * length) - 1)
         m = length
         for _t in range(horizon):
-            fbits = _unravel_bits(f, fbits, m)
+            width = (n - 1) * length + m  # up to the last valid cell
+            fbits = _unravel_bits(f, fbits, width)
             for s in range(k):
-                gbits = _unravel_bits(g, gbits, k * m - 2 * s)
+                gbits = _unravel_bits(g, gbits, k * width - 2 * s)
             m -= 2
-            if gbits != encode_bits(fbits, m):
+            if (encode_bits(fbits, width - 2) ^ gbits) & rep * ((1 << k * m) - 1):
                 return False
     return True
+
+
+def _encoding_table(enc: Encoding) -> np.ndarray:
+    """Row b holds the k bytes encoding the 8 cells of byte b, little-endian."""
+    k, e0 = enc.k, enc.enc0.bits
+    flip = e0 ^ enc.enc1.bits
+    table = sum(e0 << (k * i) for i in range(8))  # row 0 alone
+    rep = 1  # one bit at the start of each row so far
+    span = 8 * k  # bits in the rows so far
+    for i in range(8):  # row b | 1 << i is row b with cell i flipped
+        table |= (table ^ rep * (flip << (k * i))) << span
+        rep |= rep << span
+        span *= 2
+    return np.frombuffer(table.to_bytes(256 * k, "little"), np.uint8).reshape(256, k)
+
+
+def _pack(words: list[int], width: int) -> int:
+    """Concatenate words of ``width`` bits, words[0] lowest, in pairs: linear
+    in the total size, where OR-ing them in one by one is quadratic."""
+    while len(words) > 1:
+        pairs = [lo | hi << width for lo, hi in zip(words[::2], words[1::2])]
+        if len(words) % 2:
+            pairs.append(words[-1])
+        words, width = pairs, 2 * width
+    return words[0]
 
 
 def compose_witnesses(w1: EmulationWitness, w2: EmulationWitness) -> EmulationWitness:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -113,25 +114,40 @@ def _shard_path(cache_dir: str, g: int, k: int) -> str:
 
 
 def _load_shard(cache_dir: str, g: int, k: int) -> list[tuple[int, int, int]] | None:
+    """The cell's entries, or None (a cache miss) unless the shard parses and
+    has the shape _store_shard writes."""
     path = _shard_path(cache_dir, g, k)
     try:
         with open(path, "r", encoding="ascii") as fh:
             data = json.load(fh)
     except (OSError, ValueError):
         return None
-    if data.get("schema") != CACHE_SCHEMA or data.get("rule") != g or data.get("k") != k:
+    if (not isinstance(data, dict) or data.get("schema") != CACHE_SCHEMA
+            or data.get("rule") != g or data.get("k") != k):
         return None
-    return [tuple(entry) for entry in data["emulated"]]
+    entries = data.get("emulated")
+    if not isinstance(entries, list) or not all(
+            isinstance(e, list) and len(e) == 3 and all(type(x) is int for x in e)
+            for e in entries):
+        return None
+    return [tuple(entry) for entry in entries]
 
 
 def _store_shard(cache_dir: str, g: int, k: int, entries: list[tuple[int, int, int]]) -> None:
+    """Write the shard through a temp file of its own, so concurrent runs
+    sharing the cache never write into one file."""
     payload = {"schema": CACHE_SCHEMA, "rule": g, "k": k,
                "emulated": [list(e) for e in entries]}
     path = _shard_path(cache_dir, g, k)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        json.dump(payload, fh, sort_keys=True)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
+                               dir=cache_dir)
+    try:
+        with os.fdopen(fd, "w", encoding="ascii") as fh:
+            json.dump(payload, fh, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def compute_hierarchy(K: int, reps: list[int] | None = None, workers: int = 1,

@@ -86,6 +86,26 @@ def test_verify_witness_file(capsys, tmp_path):
     assert code == 1 and "invalid" in out
 
 
+
+@pytest.mark.parametrize("text", [
+    '{"f": 184, "g": 148, "k": 2, "enc0": "00"}',  # no enc1: KeyError
+    '[1, 2]',                                       # not an object: TypeError
+    '{"f": 184, "g": 148, "k": null, "enc0": "00", "enc1": "10"}',
+    '{"f": 184, "g": 148, "k": 2, "enc0": "00", "enc1": 5}',
+    '{"f": 184.7, "g": 148, "k": 2, "enc0": "00", "enc1": "10"}',  # not truncated
+    '{"f": 184, "g": 148, "k": 2, "enc0": [0, 0], "enc1": "10"}',
+])
+def test_verify_malformed_witness_exit_two(capsys, tmp_path, text):
+    # exit 1 is the verdict "invalid"; a file that is no witness is exit 2
+    path = tmp_path / "w.json"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as err:
+        main(["verify", str(path)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 def test_hierarchy_formats(capsys, tmp_path):
     out_csv = tmp_path / "h.csv"
     code, _ = run(capsys, "hierarchy", "--kmax", "2", "--rules", "148",

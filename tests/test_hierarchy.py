@@ -15,7 +15,12 @@ from eca_emulation import (
     transitive_reduction,
     verify_witness,
 )
-from eca_emulation.hierarchy import HierarchyEdge, HierarchyGraph
+from eca_emulation.hierarchy import (
+    HierarchyEdge,
+    HierarchyGraph,
+    _load_shard,
+    _store_shard,
+)
 from eca_emulation.words import Word
 
 
@@ -125,6 +130,42 @@ def test_cache_ignores_foreign_schema(tmp_path):
     g = compute_hierarchy(1, reps=[0], cache_dir=str(cache))
     assert g.edge(0, 0) is not None
 
+
+
+@pytest.mark.parametrize("text", [
+    '[]',
+    '{"schema": 1, "rule": 0, "k": 1}',
+    '{"schema": 1, "rule": 0, "k": 1, "emulated": {}}',
+    '{"schema": 1, "rule": 0, "k": 1, "emulated": [[0, 0]]}',
+    '{"schema": 1, "rule": 0, "k": 1, "emulated": [[0, "0", 1]]}',
+])
+def test_cache_misshapen_shard_is_a_miss(tmp_path, text):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / "rule000_k01.json").write_text(text)
+    assert _load_shard(str(cache), 0, 1) is None
+    g = compute_hierarchy(1, reps=[0], cache_dir=str(cache))
+    assert g.edge(0, 0) is not None
+    # the recomputed cell replaced the bad shard
+    assert _load_shard(str(cache), 0, 1) == list(g.raw[(0, 1)])
+
+
+def test_cache_write_leaves_stale_temp_alone(tmp_path):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    stale = cache / "rule000_k01.json.tmp"
+    stale.write_text("half a shard from another run")
+    g = compute_hierarchy(1, reps=[0], cache_dir=str(cache))
+    assert stale.read_text() == "half a shard from another run"
+    assert _load_shard(str(cache), 0, 1) == list(g.raw[(0, 1)])
+    assert sorted(p.name for p in cache.iterdir()) == ["rule000_k01.json",
+                                                       "rule000_k01.json.tmp"]
+
+
+def test_cache_failed_write_removes_its_temp(tmp_path):
+    with pytest.raises(TypeError):  # a set is not JSON serializable
+        _store_shard(str(tmp_path), 0, 1, [(0, 0, {1})])
+    assert list(tmp_path.iterdir()) == []
 
 # --- transitive reduction ------------------------------------------------
 
