@@ -14,7 +14,6 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
 
 from .emulation import (
     EmulationWitness,
@@ -31,29 +30,22 @@ from .words import CYCLIC, Grid, Word
 CACHE_ENV = "ECA_EMULATION_CACHE"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved settings for the hierarchy-scale commands."""
-
-    kmax: int
-    rules: tuple[int, ...] | None
-    workers: int
-    cache_dir: str | None
-    seed: int
-    output: str | None
-
-    def __post_init__(self):
-        if self.kmax < 1:
-            raise ValueError(f"kmax {self.kmax} < 1")
-        if self.workers < 1:
-            raise ValueError(f"workers {self.workers} < 1")
-
-
 def _wolfram(text: str) -> int:
     n = int(text)
     if not 0 <= n <= 255:
         raise argparse.ArgumentTypeError(f"Wolfram number {n} not in 0..255")
     return n
+
+
+def _positive(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{n} is not a positive integer")
+    return n
+
+
+def _cache_dir(args) -> str | None:
+    return args.cache_dir or os.environ.get(CACHE_ENV) or None
 
 
 def _emit(data: bytes, path: str | None) -> None:
@@ -63,18 +55,6 @@ def _emit(data: bytes, path: str | None) -> None:
     else:
         with open(path, "wb") as fh:
             fh.write(data)
-
-
-def _run_config(args) -> RunConfig:
-    cache_dir = getattr(args, "cache_dir", None) or os.environ.get(CACHE_ENV) or None
-    return RunConfig(
-        kmax=args.kmax,
-        rules=tuple(args.rules) if getattr(args, "rules", None) else None,
-        workers=getattr(args, "workers", 1),
-        cache_dir=cache_dir,
-        seed=getattr(args, "seed", 0),
-        output=getattr(args, "output", None),
-    )
 
 
 def cmd_rule_info(args) -> int:
@@ -126,22 +106,20 @@ def cmd_subalgebras(args) -> int:
 
 
 def cmd_hierarchy(args) -> int:
-    cfg = _run_config(args)
-    graph = compute_hierarchy(cfg.kmax, reps=cfg.rules, workers=cfg.workers,
-                              cache_dir=cfg.cache_dir)
+    graph = compute_hierarchy(args.kmax, reps=args.rules, workers=args.workers,
+                              cache_dir=_cache_dir(args))
     if args.reduce:
         graph = transitive_reduction(graph)
-    _emit(export(graph, args.format), cfg.output)
+    _emit(export(graph, args.format), args.output)
     return 0
 
 
 def cmd_classify(args) -> int:
-    cfg = _run_config(args)
-    graph = compute_hierarchy(cfg.kmax, reps=cfg.rules, workers=cfg.workers,
-                              cache_dir=cfg.cache_dir)
+    graph = compute_hierarchy(args.kmax, reps=args.rules, workers=args.workers,
+                              cache_dir=_cache_dir(args))
     report = classify(graph)
     _emit((json.dumps(report.to_json_dict(), indent=1, sort_keys=True) + "\n").encode(),
-          cfg.output)
+          args.output)
     return 0
 
 
@@ -219,10 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sa.set_defaults(func=cmd_subalgebras)
 
     p_h = sub.add_parser("hierarchy", help="emulation hierarchy for sizes 1..K")
-    p_h.add_argument("--kmax", type=int, required=True)
+    p_h.add_argument("--kmax", type=_positive, required=True)
     p_h.add_argument("--rules", type=_wolfram, nargs="+",
                      help="restrict the emulators (default: all 136 representatives)")
-    p_h.add_argument("--workers", type=int, default=1)
+    p_h.add_argument("--workers", type=_positive, default=1)
     p_h.add_argument("--cache-dir", help=f"shard cache (default: ${CACHE_ENV})")
     p_h.add_argument("--reduce", action="store_true",
                      help="transitively reduce non-self edges (rendering aid)")
@@ -235,9 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_h.set_defaults(func=cmd_hierarchy)
 
     p_c = sub.add_parser("classify", help="classification report as JSON")
-    p_c.add_argument("--kmax", type=int, required=True)
+    p_c.add_argument("--kmax", type=_positive, required=True)
     p_c.add_argument("--rules", type=_wolfram, nargs="+")
-    p_c.add_argument("--workers", type=int, default=1)
+    p_c.add_argument("--workers", type=_positive, default=1)
     p_c.add_argument("--cache-dir")
     p_c.add_argument("--output", "-o")
     p_c.set_defaults(func=cmd_classify)

@@ -180,19 +180,21 @@ def compute_hierarchy(K: int, reps: list[int] | None = None, workers: int = 1,
             pending.append((g, k))
 
     if pending:
-        if workers == 1:
-            results = map(_compute_cell, pending)
-        else:
-            pool = ProcessPoolExecutor(max_workers=workers)
-            try:
-                results = list(pool.map(_compute_cell, pending, chunksize=4))
-            finally:
+        # Each shard is stored as soon as its cell arrives, so an interrupted
+        # sweep keeps the cells it finished.
+        if cache_dir is not None:
+            os.makedirs(cache_dir, exist_ok=True)
+        pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+        try:
+            results = (map(_compute_cell, pending) if pool is None
+                       else pool.map(_compute_cell, pending, chunksize=4))
+            for g, k, entries in results:
+                raw[(g, k)] = entries
+                if cache_dir is not None:
+                    _store_shard(cache_dir, g, k, entries)
+        finally:
+            if pool is not None:
                 pool.shutdown()
-        for g, k, entries in results:
-            raw[(g, k)] = entries
-            if cache_dir is not None:
-                os.makedirs(cache_dir, exist_ok=True)
-                _store_shard(cache_dir, g, k, entries)
 
     # A closed pair reports both orientations, so the raw result of every
     # cell is closed under duality and the class representative of each

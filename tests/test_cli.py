@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -47,6 +48,37 @@ def test_usage_error_exit_two(capsys):
     with pytest.raises(SystemExit) as err:
         main(["hierarchy", "--kmax", "2", "--workers", "0"])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["hierarchy", "classify"])
+@pytest.mark.parametrize("option", ["--kmax", "--workers"])
+def test_nonpositive_count_exit_two(capsys, command, option):
+    argv = {"--kmax": "2", "--workers": "1"}
+    argv[option] = "0"
+    with pytest.raises(SystemExit) as err:
+        main([command] + [word for pair in argv.items() for word in pair])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"argument {option}: 0 is not a positive" in errors[0]
+
+
+def test_hierarchy_k8_exports_unchanged(capsys, tmp_path):
+    # sha256 of `eca-emu hierarchy --kmax 8` in each format, recorded
+    # before the pair enumeration became a single chunked pass
+    golden = {
+        "csv": "5f9cf2e68da7372a8aa8273f6db0da924038625fd3b79f1dbeaeb292d79aee80",
+        "json": "a32c35b6298907600e1291218a4096e13ff1ad7bffac90bce167b8cb38ffdf49",
+        "dot": "26879da5e900bb7f7e1a23f61f0ebf32aca8809157aec70cdd8dbfbfecd5abf5",
+    }
+    cache = str(tmp_path / "cache")
+    for fmt, digest in golden.items():
+        path = tmp_path / f"h.{fmt}"
+        code, _ = run(capsys, "hierarchy", "--kmax", "8", "--workers", "2",
+                      "--cache-dir", cache, f"--{fmt}", "-o", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, fmt
 
 
 def test_simulate_writes_pbm(capsys, tmp_path):

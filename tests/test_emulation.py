@@ -1,6 +1,9 @@
 import random
+import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from eca_emulation import (
     EmulationWitness,
@@ -21,6 +24,7 @@ from eca_emulation import (
     supercell_step,
     verify_witness,
 )
+from eca_emulation import emulation
 
 R = rule_from_wolfram
 
@@ -366,18 +370,46 @@ def test_proper_subalgebra_search_examples():
     assert s is not None and len(s.elements) == 2
 
 
-def test_results_independent_of_partition_size(monkeypatch):
-    # the pair space is scanned in chunks; shrinking the chunk to a couple
-    # of pairs must not change any result, including first-hit answers
-    import eca_emulation.emulation as emu
-
-    listing = emulated_rules(R(148), 3)
+@settings(max_examples=40, deadline=None)
+@given(g=st.integers(0, 255), k=st.integers(1, 6), chunk=st.integers(1, 2100))
+@example(g=148, k=3, chunk=3)
+@example(g=110, k=3, chunk=3)  # no closed pair: the closure sweep answers
+@example(g=204, k=6, chunk=40)  # splits the first triangle row (63 pairs)
+@example(g=4, k=4, chunk=2)  # fixed points and diagonal-image pairs mixed
+@example(g=110, k=6, chunk=1)
+@example(g=90, k=6, chunk=2100)  # more than the 2016 pairs of size 6
+def test_results_independent_of_partition_size(g, k, chunk):
+    # the pair space is scanned in chunks; any chunk size, from one pair to
+    # more than all of them, must give the same results, including
+    # first-hit answers
     first = check_emulation_naive(R(184), R(148), 2)
-    search = proper_subalgebra_search(R(110), 3)
-    monkeypatch.setattr(emu, "_CHUNK", 3)
-    assert emulated_rules(R(148), 3) == listing
-    assert check_emulation_naive(R(184), R(148), 2) == first
-    assert proper_subalgebra_search(R(110), 3) == search
+    search = proper_subalgebra_search(R(g), k)
+    default = emulated_rules(R(g), k)
+    with mock.patch.object(emulation, "_CHUNK", chunk):
+        listing = emulated_rules(R(g), k)
+        assert listing == default
+        firsts = {}
+        for f, e in listing:
+            firsts.setdefault(f.wolfram, e)
+        assert emulated_rule_map(R(g), k) == firsts
+        assert all(EmulationWitness(f, R(g), k, e).holds() for f, e in listing)
+        # without a closed pair the answer comes from the closure sweep,
+        # whose chunks of triples make tiny sizes slow beyond size 3
+        if listing or k <= 3:
+            assert proper_subalgebra_search(R(g), k) == search
+        assert check_emulation_naive(R(184), R(148), 2) == first
+
+
+def test_rule_map_memory_stays_flat():
+    # the enumeration folds chunk by chunk; building the 523,776 pairs of
+    # the size-10 identity at once took ~94 MB
+    tracemalloc.start()
+    try:
+        assert sorted(emulated_rule_map(R(204), 10)) == [204]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_self_similarity():

@@ -15,6 +15,7 @@ from eca_emulation import (
     transitive_reduction,
     verify_witness,
 )
+from eca_emulation import hierarchy
 from eca_emulation.hierarchy import (
     HierarchyEdge,
     HierarchyGraph,
@@ -166,6 +167,29 @@ def test_cache_failed_write_removes_its_temp(tmp_path):
     with pytest.raises(TypeError):  # a set is not JSON serializable
         _store_shard(str(tmp_path), 0, 1, [(0, 0, {1})])
     assert list(tmp_path.iterdir()) == []
+
+
+_real_compute_cell = hierarchy._compute_cell
+
+
+def _cell_failing_at_3_1(args):
+    # module level, so that worker processes can unpickle it
+    if args == (3, 1):
+        raise RuntimeError("cell (3, 1) failed")
+    return _real_compute_cell(args)
+
+
+def test_interrupted_parallel_sweep_keeps_finished_shards(tmp_path, monkeypatch):
+    monkeypatch.setattr(hierarchy, "_compute_cell", _cell_failing_at_3_1)
+    cache = tmp_path / "cache"
+    with pytest.raises(RuntimeError, match=r"cell \(3, 1\) failed"):
+        compute_hierarchy(3, reps=[0, 1, 2, 3], workers=2, cache_dir=str(cache))
+    # cells go out in (rule, k) order, four to a batch; (3, 1) is the tenth
+    # cell, so the two batches before its own had returned
+    for g, k in [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]:
+        assert _load_shard(str(cache), g, k) == _real_compute_cell((g, k))[2], (g, k)
+    assert _load_shard(str(cache), 3, 1) is None
+
 
 # --- transitive reduction ------------------------------------------------
 
