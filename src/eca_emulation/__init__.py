@@ -48,11 +48,9 @@ from .rules import (
     trajectory,
 )
 from .supercell import Supercell, supercell_step, unravel, unravel_iter
-from .words import CYCLIC, OPEN, Grid, Word
+from .words import Grid, Word
 
 __all__ = [
-    "CYCLIC",
-    "OPEN",
     "ClassificationReport",
     "Diagram",
     "DualityClass",

@@ -25,7 +25,7 @@ from .emulation import (
 from .hierarchy import classify, compute_hierarchy, export, transitive_reduction
 from .render import render_diagram, write_pbm
 from .rules import dual, is_affine, is_linear, mirror, rule_from_wolfram
-from .words import CYCLIC, Grid, Word
+from .words import Grid, Word
 
 CACHE_ENV = "ECA_EMULATION_CACHE"
 
@@ -77,7 +77,7 @@ def cmd_simulate(args) -> int:
     else:
         rng = random.Random(args.seed)
         cells = Word(rng.getrandbits(args.width), args.width)
-    diagram = render_diagram(r, Grid(cells, CYCLIC), args.steps)
+    diagram = render_diagram(r, Grid(cells), args.steps)
     _emit(write_pbm(diagram, binary=args.binary), args.output)
     return 0
 

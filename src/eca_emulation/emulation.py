@@ -240,9 +240,18 @@ def _diagonal_map(wolfram: int, k: int) -> np.ndarray:
     return _unravel_batch(wolfram, e | e << np.uint64(k) | e << np.uint64(2 * k), 3 * k, k)
 
 
-def _closed_pairs(wolfram: int, k: int
+def _pattern_words(p: int, u: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
+    """Packed triples of selection pattern p (i = 4*s1 + 2*s2 + s3): cell
+    block j holds v where pattern bit s_j is 1, u where it is 0."""
+    x, y, z = (v if (p >> s) & 1 else u for s in (2, 1, 0))
+    return x | y << np.uint64(k) | z << np.uint64(2 * k)
+
+
+def _closed_pairs(wolfram: int, k: int, diag: np.ndarray
                   ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The pairs {u, v} (u < v) closed under the supercell operation.
+
+    ``diag`` is the diagonal map ``_diagonal_map(wolfram, k)``.
 
     Yields chunks (U, V, W) in scan order: the pairs of a chunk ascend by
     (u, v) and every pair of a chunk precedes every pair of the next.
@@ -264,7 +273,6 @@ def _closed_pairs(wolfram: int, k: int
     """
     n = 1 << k
     sk = np.uint64(k)
-    diag = _diagonal_map(wolfram, k)
     elems = np.arange(n, dtype=np.uint64)
     moved = diag != elems
     fix = elems[~moved]
@@ -295,10 +303,7 @@ def _closed_pairs(wolfram: int, k: int
         for p in _MIXED_PATTERNS:
             if not len(u):
                 break
-            x = v if (p >> 2) & 1 else u
-            y = v if (p >> 1) & 1 else u
-            z = v if p & 1 else u
-            r = _unravel_batch(wolfram, x | y << sk | z << np.uint64(2 * k), 3 * k, k)
+            r = _unravel_batch(wolfram, _pattern_words(p, u, v, k), 3 * k, k)
             hit = r == v
             keep = hit | (r == u)
             w |= hit.astype(np.uint16) << p
@@ -319,7 +324,7 @@ def emulated_rules(g: EcaRule, k: int) -> list[tuple[EcaRule, Encoding]]:
     the set of rules and one witness per rule are needed.
     """
     _check_k(k)
-    chunks = list(_closed_pairs(g.wolfram, k))
+    chunks = list(_closed_pairs(g.wolfram, k, _diagonal_map(g.wolfram, k)))
     if not chunks:
         return []
     U, V, W = (np.concatenate(c) for c in zip(*chunks))
@@ -344,7 +349,7 @@ def emulated_rule_map(g: EcaRule, k: int) -> dict[int, Encoding]:
     none = np.iinfo(np.uint64).max
     best = np.full(256, none, dtype=np.uint64)
     sk = np.uint64(k)
-    for u, v, w in _closed_pairs(g.wolfram, k):
+    for u, v, w in _closed_pairs(g.wolfram, k, _diagonal_map(g.wolfram, k)):
         np.minimum.at(best, w, u << sk | v)
         np.minimum.at(best, _DUAL_ARR[w], v << sk | u)
     mask = (1 << k) - 1
@@ -589,27 +594,59 @@ def proper_subalgebra_search(g: EcaRule, k: int) -> Subalgebra | None:
     """Some proper subalgebra with >= 2 elements, or None if there is none.
 
     Any closed pair found by the pair scan is already an answer.  Otherwise
-    every singleton closure is computed: a proper one with >= 2 elements is
-    an answer, the full ones disqualify their element from further pairing,
-    and the fixed points are paired up and closed under the cap 2^k - 1.
-    This is exhaustive: a proper subalgebra S with u, v in S forces the
-    singleton closures of u and v to stay inside S, so once the singleton
-    sweep found nothing, only pairs of fixed points remain possible seeds.
+    the singleton closures are resolved in ascending order of u: the first
+    proper one with >= 2 elements is the answer, the full ones disqualify
+    their element from further pairing, and the fixed points are paired up
+    and closed under the cap 2^k - 1.  This is exhaustive: a proper
+    subalgebra S with u, v in S forces the singleton closures of u and v to
+    stay inside S, so once the singleton sweep found nothing, only pairs of
+    fixed points remain possible seeds.
+
+    The sweep closes few singletons.  With d the diagonal map, the
+    children of u are the eight products of the pair (u, d(u)): d(u),
+    d(d(u)) and the six mixed selection patterns, evaluated for every u in
+    one batch.  Each child c lies in closure(u), so closure(c) is a subset
+    of closure(u), and a child that generates the full algebra makes u
+    generate it too.  The sweep walks u in ascending order, skips the fixed
+    points (d(u) = u, whose closure is {u}) and the elements already known
+    to generate everything, and closes only the u that remain.  A proper
+    closure is the answer; a full one marks u, and the marks are propagated
+    backwards, from children to parents, until nothing changes.  Only
+    elements whose closure is full are ever marked, so the sweep stops at
+    the same u as one that closes every singleton, with the same set.
+    The children take 8 x 2^k words of memory; the kernel sees them in
+    blocks of ``_CHUNK`` words.
     """
     _check_k(k)
     n = 1 << k
-    for U, V, _ in _closed_pairs(g.wolfram, k):
+    diag = _diagonal_map(g.wolfram, k)
+    for U, V, _ in _closed_pairs(g.wolfram, k, diag):
         return _as_subalgebra(g, k, [int(U[0]), int(V[0])])
-    fixed: list[int] = []
+    cells = np.arange(n, dtype=np.uint64)
+    moved = diag != cells
+    # Row j, column u: a child of u.  The mixed patterns run in one batch,
+    # split into kernel calls of at most _CHUNK words.
+    kids = np.empty((8, n), dtype=np.int64)
+    mixed = np.concatenate([_pattern_words(p, cells, diag, k) for p in _MIXED_PATTERNS])
+    flat = kids[:6].reshape(-1)
+    for lo in range(0, len(mixed), _CHUNK):
+        flat[lo:lo + _CHUNK] = _unravel_batch(g.wolfram, mixed[lo:lo + _CHUNK], 3 * k, k)
+    kids[6] = diag
+    kids[7] = diag[kids[6]]
     blows_up = np.zeros(n, dtype=bool)
-    for u in range(n):
+    for u in np.flatnonzero(moved).tolist():
+        if blows_up[u]:
+            continue
         elems = _close(g.wolfram, k, [u], None, blows_up)
-        if elems is None or len(elems) == n:
-            blows_up[u] = True
-        elif len(elems) >= 2:
+        if len(elems) < n:
             return _as_subalgebra(g, k, elems)
-        else:
-            fixed.append(u)
+        blows_up[u] = True
+        while True:
+            grew = moved & ~blows_up & blows_up[kids].any(axis=0)
+            if not grew.any():
+                break
+            blows_up |= grew
+    fixed = np.flatnonzero(~moved).tolist()
     for i, u in enumerate(fixed):
         for v in fixed[i + 1:]:
             elems = _close(g.wolfram, k, [u, v], n - 1, blows_up)

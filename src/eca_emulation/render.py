@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .emulation import EmulationWitness, decode_config, encode_config
 from .rules import EcaRule, trajectory
-from .words import CYCLIC, Grid, Word
+from .words import Grid, Word
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,6 @@ class Diagram:
 
 def render_diagram(r: EcaRule, g: Grid, steps: int) -> Diagram:
     """Diagram of the trajectory: row t is the configuration after t steps."""
-    if g.boundary != CYCLIC:
-        raise ValueError("render_diagram needs a cyclic grid")
     return Diagram(tuple(grid.cells for grid in trajectory(r, g, steps)))
 
 
@@ -55,8 +53,8 @@ def render_emulated(w: EmulationWitness, u: Word, steps: int) -> tuple[Diagram, 
         raise ValueError("witness does not satisfy the emulation equations")
     if len(u) < 3:
         raise ValueError(f"cyclic configuration of {len(u)} cells too short")
-    direct = render_diagram(w.emulated, Grid(u, CYCLIC), steps)
-    full = render_diagram(w.emulator, Grid(encode_config(w.encoding, u), CYCLIC),
+    direct = render_diagram(w.emulated, Grid(u), steps)
+    full = render_diagram(w.emulator, Grid(encode_config(w.encoding, u)),
                           steps * w.k)
     sampled = Diagram(tuple(full.rows[t * w.k] for t in range(steps + 1)))
     for t in range(steps + 1):

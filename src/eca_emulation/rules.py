@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .words import CYCLIC, Grid, Word
+from .words import Grid, Word
 
 
 @dataclass(frozen=True)
@@ -121,15 +121,13 @@ def _step_bits_cyclic(wolfram: int, bits: int, n: int) -> int:
 def global_step(r: EcaRule, g: Grid) -> Grid:
     """Apply the global rule F(c)_i = f(c_{i-1}, c_i, c_{i+1}) once.
 
-    Only defined on cyclic grids of length >= 3; neighbor indices are taken
-    modulo the grid size.  Open grids shrink instead: see supercell.unravel.
+    Defined on grids of length >= 3; neighbor indices are taken modulo the
+    grid size.  Open words shrink instead: see supercell.unravel.
     """
-    if g.boundary != CYCLIC:
-        raise ValueError("global_step requires a cyclic grid; use unravel for open words")
     n = len(g)
     if n < 3:
         raise ValueError(f"cyclic grid length {n} < 3")
-    return Grid(Word(_step_bits_cyclic(r.wolfram, g.cells.bits, n), n), CYCLIC)
+    return Grid(Word(_step_bits_cyclic(r.wolfram, g.cells.bits, n), n))
 
 
 def trajectory(r: EcaRule, g: Grid, t: int) -> list[Grid]:

@@ -76,24 +76,16 @@ class Word:
         return Word(self.bits | other.bits << self.length, self.length + other.length)
 
 
-CYCLIC = "cyclic"
-OPEN = "open"
-
-
 @dataclass(frozen=True)
 class Grid:
-    """A configuration on a finite grid.
+    """A configuration on a finite cyclic grid.
 
-    Cyclic grids wrap around (indices modulo the length) and keep their
-    length under stepping; open grids lose one cell per side per step.
+    The cells wrap around (indices modulo the length), so a grid keeps its
+    length under stepping.  Open words, which lose one cell per side per
+    step, are plain Words: see supercell.unravel.
     """
 
     cells: Word
-    boundary: str = CYCLIC
-
-    def __post_init__(self):
-        if self.boundary not in (CYCLIC, OPEN):
-            raise ValueError(f"unknown boundary {self.boundary!r}")
 
     def __len__(self) -> int:
         return len(self.cells)

@@ -159,7 +159,6 @@ def test_criterion_05_chaotic_bottom_row():
            f"unexpected: {nontrivial or survivors}" if not ok else "")
 
 
-@needs_extended
 def test_criterion_05_extended_to_eleven():
     bad = {}
     for g in CHAOTIC_RULES:

@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -368,6 +369,43 @@ def test_proper_subalgebra_search_examples():
         assert proper_subalgebra_search(R(30), k) is None
     s = proper_subalgebra_search(R(90), 2)
     assert s is not None and len(s.elements) == 2
+
+
+def search_per_element(g, k):
+    """proper_subalgebra_search with a singleton sweep that closes every
+    supercell in turn; the reference for the batched sweep."""
+    n = 1 << k
+    diag = emulation._diagonal_map(g.wolfram, k)
+    for U, V, _ in emulation._closed_pairs(g.wolfram, k, diag):
+        return emulation._as_subalgebra(g, k, [int(U[0]), int(V[0])])
+    fixed = []
+    blows_up = np.zeros(n, dtype=bool)
+    for u in range(n):
+        elems = emulation._close(g.wolfram, k, [u], None, blows_up)
+        if elems is None or len(elems) == n:
+            blows_up[u] = True
+        elif len(elems) >= 2:
+            return emulation._as_subalgebra(g, k, elems)
+        else:
+            fixed.append(u)
+    for i, u in enumerate(fixed):
+        for v in fixed[i + 1:]:
+            elems = emulation._close(g.wolfram, k, [u, v], n - 1, blows_up)
+            if elems is not None:
+                return emulation._as_subalgebra(g, k, elems)
+    return None
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_search_matches_per_element_sweep(k):
+    for n in range(256):
+        assert proper_subalgebra_search(R(n), k) == search_per_element(R(n), k), n
+
+
+@pytest.mark.parametrize("k", [6, 7])
+@pytest.mark.parametrize("n", [30, 45, 86, 89, 110])
+def test_search_matches_per_element_sweep_larger(n, k):
+    assert proper_subalgebra_search(R(n), k) == search_per_element(R(n), k)
 
 
 @settings(max_examples=40, deadline=None)

@@ -42,11 +42,6 @@ def test_render_diagram_trivial_rules():
     assert all(r == u for r in d.rows)
 
 
-def test_render_diagram_needs_cyclic_grid():
-    with pytest.raises(ValueError):
-        render_diagram(R(110), Grid(Word.from_text("10110"), "open"), 3)
-
-
 def test_render_emulated_identity_witness():
     w = EmulationWitness(R(110), R(110), 1,
                          Encoding(1, Word.from_text("0"), Word.from_text("1")))

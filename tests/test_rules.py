@@ -142,8 +142,6 @@ def test_global_step_matches_cellwise_oracle():
 def test_global_step_rejects():
     with pytest.raises(ValueError):
         global_step(rule_from_wolfram(110), Grid(Word.from_text("11")))
-    with pytest.raises(ValueError):
-        global_step(rule_from_wolfram(110), Grid(Word.from_text("111"), "open"))
 
 
 def test_homogeneous_configurations():

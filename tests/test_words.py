@@ -1,7 +1,6 @@
 import pytest
 
-from eca_emulation import Grid, Word
-from eca_emulation.words import CYCLIC, OPEN
+from eca_emulation import Word
 
 
 def test_from_text_packs_little_endian():
@@ -49,11 +48,3 @@ def test_rejects_bad_values():
         Word(0, -1)
     with pytest.raises(ValueError):
         Word.from_bits([0, 2])
-
-
-def test_grid_boundaries():
-    w = Word.from_text("101")
-    assert Grid(w).boundary == CYCLIC
-    assert Grid(w, OPEN).boundary == OPEN
-    with pytest.raises(ValueError):
-        Grid(w, "torus")
