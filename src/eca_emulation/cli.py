@@ -25,6 +25,7 @@ from .emulation import (
 from .hierarchy import classify, compute_hierarchy, export, transitive_reduction
 from .render import render_diagram, write_pbm
 from .rules import dual, is_affine, is_linear, mirror, rule_from_wolfram
+from .supercell import MAX_SUPERCELL_BITS
 from .words import Grid, Word
 
 CACHE_ENV = "ECA_EMULATION_CACHE"
@@ -44,8 +45,19 @@ def _positive(text: str) -> int:
     return n
 
 
-def _cache_dir(args) -> str | None:
-    return args.cache_dir or os.environ.get(CACHE_ENV) or None
+def _size(text: str) -> int:
+    """A supercell size the packed kernels can take, checked before any work."""
+    k = _positive(text)
+    if 3 * k > MAX_SUPERCELL_BITS:
+        raise argparse.ArgumentTypeError(
+            f"supercell size {k} exceeds the packed kernel limit {MAX_SUPERCELL_BITS // 3}")
+    return k
+
+
+def _sweep(args):
+    """compute_hierarchy on the options that hierarchy and classify share."""
+    return compute_hierarchy(args.kmax, reps=args.rules, workers=args.workers,
+                             cache_dir=args.cache_dir or os.environ.get(CACHE_ENV) or None)
 
 
 def _emit(data: bytes, path: str | None) -> None:
@@ -106,8 +118,7 @@ def cmd_subalgebras(args) -> int:
 
 
 def cmd_hierarchy(args) -> int:
-    graph = compute_hierarchy(args.kmax, reps=args.rules, workers=args.workers,
-                              cache_dir=_cache_dir(args))
+    graph = _sweep(args)
     if args.reduce:
         graph = transitive_reduction(graph)
     _emit(export(graph, args.format), args.output)
@@ -115,9 +126,7 @@ def cmd_hierarchy(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    graph = compute_hierarchy(args.kmax, reps=args.rules, workers=args.workers,
-                              cache_dir=_cache_dir(args))
-    report = classify(graph)
+    report = classify(_sweep(args))
     _emit((json.dumps(report.to_json_dict(), indent=1, sort_keys=True) + "\n").encode(),
           args.output)
     return 0
@@ -125,6 +134,8 @@ def cmd_classify(args) -> int:
 
 def cmd_chaos(args) -> int:
     g = rule_from_wolfram(args.g)
+    if args.kmax < 2:
+        raise ValueError(f"kmax {args.kmax} < 2")
     for k in range(2, args.kmax + 1):
         sub = proper_subalgebra_search(g, k)
         if sub is None:
@@ -187,42 +198,42 @@ def build_parser() -> argparse.ArgumentParser:
     p_emu = sub.add_parser("emulate", help="does G emulate F at supercell size K?")
     p_emu.add_argument("f", type=_wolfram)
     p_emu.add_argument("g", type=_wolfram)
-    p_emu.add_argument("--k", type=int, required=True)
+    p_emu.add_argument("--k", type=_size, required=True)
     p_emu.add_argument("--output", "-o", help="also write the witness JSON here")
     p_emu.set_defaults(func=cmd_emulate)
 
     p_sa = sub.add_parser("subalgebras", help="all rules emulated by G at size K")
     p_sa.add_argument("g", type=_wolfram)
-    p_sa.add_argument("--k", type=int, required=True)
+    p_sa.add_argument("--k", type=_size, required=True)
     p_sa.set_defaults(func=cmd_subalgebras)
 
-    p_h = sub.add_parser("hierarchy", help="emulation hierarchy for sizes 1..K")
-    p_h.add_argument("--kmax", type=_positive, required=True)
-    p_h.add_argument("--rules", type=_wolfram, nargs="+",
-                     help="restrict the emulators (default: all 136 representatives)")
-    p_h.add_argument("--workers", type=_positive, default=1)
-    p_h.add_argument("--cache-dir", help=f"shard cache (default: ${CACHE_ENV})")
+    # Options shared by the two sweeps over (rule, size) cells.
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("--kmax", type=_size, required=True,
+                       help=f"largest supercell size, at most {MAX_SUPERCELL_BITS // 3}")
+    sweep.add_argument("--rules", type=_wolfram, nargs="+",
+                       help="restrict the emulators (default: all 136 representatives)")
+    sweep.add_argument("--workers", type=_positive, default=1,
+                       help="worker processes (default: 1)")
+    sweep.add_argument("--cache-dir", help=f"shard cache (default: ${CACHE_ENV})")
+    sweep.add_argument("--output", "-o", help="write here instead of stdout")
+
+    p_h = sub.add_parser("hierarchy", parents=[sweep],
+                         help="emulation hierarchy for sizes 1..K")
     p_h.add_argument("--reduce", action="store_true",
                      help="transitively reduce non-self edges (rendering aid)")
     fmt = p_h.add_mutually_exclusive_group()
     fmt.add_argument("--csv", dest="format", action="store_const", const="csv")
     fmt.add_argument("--json", dest="format", action="store_const", const="json")
     fmt.add_argument("--dot", dest="format", action="store_const", const="dot")
-    p_h.set_defaults(format="csv")
-    p_h.add_argument("--output", "-o")
-    p_h.set_defaults(func=cmd_hierarchy)
+    p_h.set_defaults(format="csv", func=cmd_hierarchy)
 
-    p_c = sub.add_parser("classify", help="classification report as JSON")
-    p_c.add_argument("--kmax", type=_positive, required=True)
-    p_c.add_argument("--rules", type=_wolfram, nargs="+")
-    p_c.add_argument("--workers", type=_positive, default=1)
-    p_c.add_argument("--cache-dir")
-    p_c.add_argument("--output", "-o")
+    p_c = sub.add_parser("classify", parents=[sweep], help="classification report as JSON")
     p_c.set_defaults(func=cmd_classify)
 
     p_ch = sub.add_parser("chaos", help="proper-subalgebra search per size")
     p_ch.add_argument("g", type=_wolfram)
-    p_ch.add_argument("--kmax", type=int, required=True)
+    p_ch.add_argument("--kmax", type=_size, required=True)
     p_ch.set_defaults(func=cmd_chaos)
 
     p_v = sub.add_parser("verify", help="re-verify a witness file")
@@ -234,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_v.set_defaults(func=cmd_verify)
 
     p_b = sub.add_parser("bench", help="naive scan over all rules vs one enumeration")
-    p_b.add_argument("--k", type=int, required=True)
+    p_b.add_argument("--k", type=_size, required=True)
     p_b.add_argument("--rule", type=_wolfram, default=110,
                      help="target rule being emulated against (default 110)")
     p_b.set_defaults(func=cmd_bench)

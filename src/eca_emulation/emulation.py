@@ -89,11 +89,7 @@ class Encoding:
 
 def encode_config(e: Encoding, w: Word) -> Word:
     """Blockwise extension of the encoding: block i of the output is enc(w[i])."""
-    bits = 0
-    e0, e1 = e.enc0.bits, e.enc1.bits
-    for i in range(len(w)):
-        bits |= (e1 if (w.bits >> i) & 1 else e0) << (e.k * i)
-    return Word(bits, e.k * len(w))
+    return Word(_encode_bits(_encoding_table(e), w.bits, len(w)), e.k * len(w))
 
 
 def decode_config(e: Encoding, w: Word) -> Word:
@@ -162,10 +158,6 @@ class EmulationWitness:
             raise ValueError(f"malformed witness: {exc}") from None
 
 
-def _make_witness(f: EcaRule, g: EcaRule, k: int, e0: int, e1: int) -> EmulationWitness:
-    return EmulationWitness(f, g, k, Encoding(k, Word(e0, k), Word(e1, k)))
-
-
 # ---------------------------------------------------------------------------
 # Naive decision procedure: scan all encodings for one fixed candidate f.
 
@@ -214,12 +206,8 @@ def _naive_scan_batched(f: EcaRule, g: EcaRule, k: int) -> Encoding | None:
         for i in range(8):
             if not len(e0):
                 break
-            sel = (e0, e1)
-            w = (sel[(i >> 2) & 1]
-                 | sel[(i >> 1) & 1] << np.uint64(k)
-                 | sel[i & 1] << np.uint64(2 * k))
-            r = _unravel_batch(g.wolfram, w, 3 * k, k)
-            keep = r == sel[fbits[i]]
+            r = _unravel_batch(g.wolfram, _pattern_words(i, e0, e1, k), 3 * k, k)
+            keep = r == (e1 if fbits[i] else e0)
             e0, e1 = e0[keep], e1[keep]
         if len(e0):
             return Encoding(k, Word(int(e0[0]), k), Word(int(e1[0]), k))
@@ -237,7 +225,7 @@ _MIXED_PATTERNS = (1, 2, 4, 3, 5, 6)
 def _diagonal_map(wolfram: int, k: int) -> np.ndarray:
     """d[u] = supercell_step(g, k, u, u, u) for every supercell u."""
     e = np.arange(1 << k, dtype=np.uint64)
-    return _unravel_batch(wolfram, e | e << np.uint64(k) | e << np.uint64(2 * k), 3 * k, k)
+    return _unravel_batch(wolfram, _pattern_words(0, e, e, k), 3 * k, k)
 
 
 def _pattern_words(p: int, u: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
@@ -392,27 +380,20 @@ def verify_witness(w: EmulationWitness, length: int, horizon: int,
         return False
     f, g, k = w.emulated.wolfram, w.emulator.wolfram, w.k
     table = _encoding_table(w.encoding)
-
-    def encode_bits(bits: int, m: int) -> int:
-        # Cell i becomes bits k*i..k*i+k-1, so byte j becomes bytes k*j..k*j+k-1.
-        cells = np.frombuffer(bits.to_bytes((m + 7) // 8, "little"), np.uint8)
-        return int.from_bytes(table[cells].tobytes(), "little")
-
     rng = random.Random(seed)
     per_block = max(1, _VERIFY_BITS // (k * length))
     for lo in range(0, samples, per_block):
         n = min(per_block, samples - lo)
         fbits = _pack([rng.getrandbits(length) for _ in range(n)], length)
-        gbits = encode_bits(fbits, n * length)
+        gbits = _encode_bits(table, fbits, n * length)
         rep = ((1 << k * n * length) - 1) // ((1 << k * length) - 1)
         m = length
         for _t in range(horizon):
             width = (n - 1) * length + m  # up to the last valid cell
-            fbits = _unravel_bits(f, fbits, width)
-            for s in range(k):
-                gbits = _unravel_bits(g, gbits, k * width - 2 * s)
+            fbits = _unravel_bits(f, fbits, width, 1)
+            gbits = _unravel_bits(g, gbits, k * width, k)
             m -= 2
-            if (encode_bits(fbits, width - 2) ^ gbits) & rep * ((1 << k * m) - 1):
+            if (_encode_bits(table, fbits, width - 2) ^ gbits) & rep * ((1 << k * m) - 1):
                 return False
     return True
 
@@ -429,6 +410,14 @@ def _encoding_table(enc: Encoding) -> np.ndarray:
         rep |= rep << span
         span *= 2
     return np.frombuffer(table.to_bytes(256 * k, "little"), np.uint8).reshape(256, k)
+
+
+def _encode_bits(table: np.ndarray, bits: int, m: int) -> int:
+    """Encode the m packed cells of ``bits`` through an _encoding_table:
+    cell i becomes bits k*i..k*i+k-1, so byte j becomes bytes k*j..k*j+k-1."""
+    cells = np.frombuffer(bits.to_bytes((m + 7) // 8, "little"), np.uint8)
+    encoded = int.from_bytes(table[cells].tobytes(), "little")
+    return encoded & ((1 << table.shape[1] * m) - 1)
 
 
 def _pack(words: list[int], width: int) -> int:

@@ -285,39 +285,36 @@ class ClassificationReport:
         }
 
 
-def classify(g: HierarchyGraph, K: int | None = None) -> ClassificationReport:
-    """Fill the classification report from the graph plus subalgebra searches.
+def classify(g: HierarchyGraph) -> ClassificationReport:
+    """Fill the classification report from the raw results of sizes 1..K
+    (K = g.K) plus subalgebra searches.
 
     memory_capable: emulates one of the memory rules (51, 170, 204, 240) at
-    some size <= K.  zero_emulators: emulates rule 0 at some size in 2..K.
+    some size <= K; they are self-dual, so a raw entry for one of them is
+    an edge.  zero_emulators: emulates rule 0 at some size in 2..K.
     chaos_candidates: no proper subalgebra with >= 2 elements at any size
     in 2..K.  emulation_counts: distinct representatives emulated at sizes
     2..K; only the trivial size-1 self emulation is not counted, so a rule
     that re-emulates itself at a larger size scores at least 1.
     """
-    if K is None:
-        K = g.K
-    if K != g.K:
-        raise ValueError(f"graph was computed with K={g.K}, not {K}")
     if g.raw is None:
         raise ValueError("classification needs raw results; imported graphs have none")
-
+    K = g.K
     memory_capable = []
     zero_emulators = []
     chaos_candidates = []
     counts: dict[int, int] = {}
     computed = sorted({gg for gg, _ in g.raw})
     for node in computed:
-        emulated = {e.emulated for e in g.edges_from(node)}
-        if emulated & set(MEMORY_RULES):
+        found = {f for k in range(2, K + 1) for f, _, _ in g.raw[(node, k)]}
+        if found.union(f for f, _, _ in g.raw[(node, 1)]) & set(MEMORY_RULES):
             memory_capable.append(node)
-        if any(f == 0 for k in range(2, K + 1) for f, _, _ in g.raw[(node, k)]):
+        if 0 in found:
             zero_emulators.append(node)
-        counts[node] = len({rep_of(f) for k in range(2, K + 1)
-                            for f, _, _ in g.raw[(node, k)]})
+        counts[node] = len({rep_of(f) for f in found})
         # Any emulated rule at k >= 2 is a two-element subalgebra, so the
         # expensive search only runs for rules with empty results there.
-        if any(g.raw[(node, k)] for k in range(2, K + 1)):
+        if found:
             continue
         rule = rule_from_wolfram(node)
         if all(proper_subalgebra_search(rule, k) is None for k in range(2, K + 1)):

@@ -4,6 +4,14 @@ A local rule maps a neighborhood (b1, b2, b3) of three cells to one output
 bit.  Rules are identified by their Wolfram number: bit ``i`` of the number
 is the output for the neighborhood whose index is ``i = 4*b1 + 2*b2 + b3``.
 That index convention is used everywhere in this package.
+
+Rules are evaluated on packed words.  ``_window_eval`` computes any
+3-input Boolean function simultaneously on all bit positions of a packed
+word using a Shannon (multiplexer) decomposition: about a dozen bitwise
+operations regardless of word length.  The same code path serves plain
+Python integers (arbitrary length) and numpy uint64 arrays (words up to
+62 bits, millions at a time).  The exhaustive emulation searches evaluate
+the supercell operation ~10^7 times, so this is the package's hot path.
 """
 
 from __future__ import annotations
@@ -104,6 +112,32 @@ def is_affine(r: EcaRule) -> bool:
     return is_linear(r) or is_linear(_RULES[r.wolfram ^ 0xFF])
 
 
+def _two_input(v0: int, v1: int, c, full):
+    """Packed evaluation of the single-variable function c -> (v0, v1)[c]."""
+    if v0:
+        return full if v1 else c ^ full
+    return c if v1 else 0
+
+
+def _window_eval(wolfram: int, a, b, c, full):
+    """Evaluate the rule on (a_i, b_i, c_i) at every bit position i.
+
+    ``a``, ``b``, ``c`` and ``full`` must be of one kind: all Python ints,
+    or all numpy uint64 values (``full`` may be a scalar).  ``full`` is the
+    all-ones mask of the working width; bits above it come out as garbage
+    and must be masked by the caller.
+    """
+    lo = wolfram & 0xF
+    hi = wolfram >> 4
+    l0 = _two_input(lo & 1, (lo >> 1) & 1, c, full)
+    l1 = _two_input((lo >> 2) & 1, (lo >> 3) & 1, c, full)
+    h0 = _two_input(hi & 1, (hi >> 1) & 1, c, full)
+    h1 = _two_input((hi >> 2) & 1, (hi >> 3) & 1, c, full)
+    f0 = l0 ^ (b & (l0 ^ l1))
+    f1 = h0 ^ (b & (h0 ^ h1))
+    return f0 ^ (a & (f0 ^ f1))
+
+
 def _step_bits_cyclic(wolfram: int, bits: int, n: int) -> int:
     """One synchronous update of a cyclic configuration, packed.
 
@@ -113,8 +147,6 @@ def _step_bits_cyclic(wolfram: int, bits: int, n: int) -> int:
     mask = (1 << n) - 1
     left = ((bits << 1) | (bits >> (n - 1))) & mask
     right = ((bits >> 1) | (bits << (n - 1))) & mask
-    from .supercell import _window_eval  # local import: avoid module cycle
-
     return _window_eval(wolfram, left, bits, right, mask) & mask
 
 

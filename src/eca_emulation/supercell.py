@@ -7,13 +7,10 @@ operation on "supercells" of k bits: the algebra operation of the derived
 automaton on the alphabet of k-bit blocks.  A supercell of size k is just
 a Word of length k.
 
-Everything is evaluated on packed words.  ``_window_eval`` computes any
-3-input Boolean function simultaneously on all bit positions of a packed
-word using a Shannon (multiplexer) decomposition: about a dozen bitwise
-operations regardless of word length.  The same code path serves plain
-Python integers (arbitrary length) and numpy uint64 arrays (words up to
-62 bits, millions at a time).  The exhaustive emulation searches evaluate
-the supercell operation ~10^7 times, so this is the package's hot path.
+Unravelling runs on packed words through two kernels built on
+``rules._window_eval``: ``_unravel_bits`` for one Python integer of any
+length and ``_unravel_batch`` for a numpy array of words up to 62 bits.
+Each takes a step count, and no other code loops over unravelling steps.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rules import EcaRule
+from .rules import EcaRule, _window_eval
 from .words import Word
 
 # Supercells are ordinary Words whose length equals the supercell size.
@@ -32,58 +29,35 @@ Supercell = Word
 MAX_SUPERCELL_BITS = 62
 
 # Full lookup tables of the supercell operation are memoized only up to
-# this size; 2^(3k) list entries, so 2 MiB per (rule, k) at the limit.
+# this size; 2^(3k) list entries, so 2 MiB per (rule, k) at the limit, and
+# the cache keeps 16 tables, at most ~32 MiB.
 _TABLE_MAX_K = 6
 
 
-def _two_input(v0: int, v1: int, c, full):
-    """Packed evaluation of the single-variable function c -> (v0, v1)[c]."""
-    if v0:
-        return full if v1 else c ^ full
-    return c if v1 else 0
+def _unravel_bits(wolfram: int, bits: int, m: int, steps: int) -> int:
+    """``steps`` unravelling steps on a packed open word of m cells.
 
-
-def _window_eval(wolfram: int, a, b, c, full):
-    """Evaluate the rule on (a_i, b_i, c_i) at every bit position i.
-
-    ``a``, ``b``, ``c`` and ``full`` must be of one kind: all Python ints,
-    or all numpy uint64 values (``full`` may be a scalar).  ``full`` is the
-    all-ones mask of the working width; bits above it come out as garbage
-    and must be masked by the caller.
+    One mask at the end suffices: a window that runs past the last valid
+    cell makes garbage only in cells that the steps after it drop.
     """
-    lo = wolfram & 0xF
-    hi = wolfram >> 4
-    l0 = _two_input(lo & 1, (lo >> 1) & 1, c, full)
-    l1 = _two_input((lo >> 2) & 1, (lo >> 3) & 1, c, full)
-    h0 = _two_input(hi & 1, (hi >> 1) & 1, c, full)
-    h1 = _two_input((hi >> 2) & 1, (hi >> 3) & 1, c, full)
-    f0 = l0 ^ (b & (l0 ^ l1))
-    f1 = h0 ^ (b & (h0 ^ h1))
-    return f0 ^ (a & (f0 ^ f1))
-
-
-def _unravel_bits(wolfram: int, bits: int, m: int) -> int:
-    """One unravelling step on a packed open word of m cells (m >= 3)."""
     full = (1 << m) - 1
-    out = _window_eval(wolfram, bits, bits >> 1, bits >> 2, full)
-    return out & ((1 << (m - 2)) - 1)
+    for _ in range(steps):
+        bits = _window_eval(wolfram, bits, bits >> 1, bits >> 2, full)
+    return bits & ((1 << (m - 2 * steps)) - 1)
 
 
 def _unravel_batch(wolfram: int, words: np.ndarray, m: int, steps: int) -> np.ndarray:
-    """``steps`` unravelling steps on a uint64 array of packed m-cell words."""
+    """``steps`` unravelling steps on a uint64 array of packed m-cell words,
+    masked once at the end like ``_unravel_bits``."""
     if m > MAX_SUPERCELL_BITS:
         raise ValueError(f"packed batch kernel limited to {MAX_SUPERCELL_BITS} cells, got {m}")
     if m - 2 * steps < 1:
         raise ValueError(f"cannot unravel {m} cells {steps} times")
+    full = np.uint64((1 << m) - 1)
     w = words
-    for s in range(steps):
-        width = m - 2 * s
-        full = np.uint64((1 << width) - 1)
-        out_mask = np.uint64((1 << (width - 2)) - 1)
-        w = _window_eval(wolfram, w, w >> 1, w >> 2, full) & out_mask
-        if np.ndim(w) == 0:  # constant rules collapse to a scalar
-            w = np.full(words.shape, w, dtype=np.uint64)
-    return w
+    for _ in range(steps):
+        w = _window_eval(wolfram, w, w >> 1, w >> 2, full)
+    return w & np.uint64((1 << (m - 2 * steps)) - 1)
 
 
 def unravel(r: EcaRule, w: Word) -> Word:
@@ -94,7 +68,7 @@ def unravel(r: EcaRule, w: Word) -> Word:
     m = len(w)
     if m < 3:
         raise ValueError(f"cannot unravel a word of {m} cells")
-    return Word(_unravel_bits(r.wolfram, w.bits, m), m - 2)
+    return Word(_unravel_bits(r.wolfram, w.bits, m, 1), m - 2)
 
 
 def unravel_iter(r: EcaRule, w: Word, t: int) -> Word:
@@ -104,13 +78,10 @@ def unravel_iter(r: EcaRule, w: Word, t: int) -> Word:
     m = len(w)
     if m < 2 * t + 1:
         raise ValueError(f"word of {m} cells too short for {t} unravelling steps")
-    bits = w.bits
-    for s in range(t):
-        bits = _unravel_bits(r.wolfram, bits, m - 2 * s)
-    return Word(bits, m - 2 * t)
+    return Word(_unravel_bits(r.wolfram, w.bits, m, t), m - 2 * t)
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=16)
 def _gk_table_list(wolfram: int, k: int) -> list[int]:
     """Full table of the size-k supercell operation, indexed by the packed
     3k-bit concatenation.  Only built for k <= _TABLE_MAX_K.  A plain list:
@@ -133,6 +104,4 @@ def supercell_step(r: EcaRule, k: int, u: Supercell, v: Supercell, x: Supercell)
     bits = u.bits | v.bits << k | x.bits << (2 * k)
     if k <= _TABLE_MAX_K:
         return Word(_gk_table_list(r.wolfram, k)[bits], k)
-    for s in range(k):
-        bits = _unravel_bits(r.wolfram, bits, 3 * k - 2 * s)
-    return Word(bits, k)
+    return Word(_unravel_bits(r.wolfram, bits, 3 * k, k), k)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from eca_emulation import cli
 from eca_emulation.cli import main
 
 
@@ -62,6 +63,41 @@ def test_nonpositive_count_exit_two(capsys, command, option):
     assert captured.out == ""
     errors = [line for line in captured.err.splitlines() if "error:" in line]
     assert len(errors) == 1 and f"argument {option}: 0 is not a positive" in errors[0]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("computation started before the arguments were checked")
+
+
+@pytest.mark.parametrize("argv", [
+    ["chaos", "30", "--kmax", "0"],
+    ["chaos", "30", "--kmax", "1"],
+    ["chaos", "30", "--kmax", "21"],
+    ["hierarchy", "--kmax", "21", "--rules", "204"],
+    ["classify", "--kmax", "21", "--rules", "30"],
+])
+def test_bad_size_exit_two_before_work(capsys, monkeypatch, argv):
+    # Sizes are checked before any cell is computed: a size past the packed
+    # kernel limit used to run every smaller size first, and chaos with a
+    # kmax below 2 used to exit 0 with nothing done.
+    monkeypatch.setattr(cli, "compute_hierarchy", _refuse)
+    monkeypatch.setattr(cli, "proper_subalgebra_search", _refuse)
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
+
+
+def test_classify_k8_report_unchanged(capsys, tmp_path):
+    # sha256 of `eca-emu classify --kmax 8`, recorded before classify read
+    # memory_capable from the raw results
+    path = tmp_path / "c.json"
+    code, _ = run(capsys, "classify", "--kmax", "8", "--workers", "2", "-o", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "76ba6ac50fea607a0641d585b24317d60b3dd5dfd8fc7e7f86baa89bc3e5530a"
 
 
 def test_hierarchy_k8_exports_unchanged(capsys, tmp_path):

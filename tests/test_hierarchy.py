@@ -263,14 +263,14 @@ def test_classify_small(graph_k2):
     assert 0 in report.zero_emulators
     assert report.emulation_counts[30] == 0
     assert report.emulation_counts[148] >= 1
+    # at K=1 only the size-1 self emulation makes a rule memory-capable
+    assert classify(compute_hierarchy(1, reps=[30, 204])).memory_capable == (204,)
 
 
 def test_classify_requires_raw(graph_k2):
     imported = load_json(export(graph_k2, "json"))
     with pytest.raises(ValueError):
         classify(imported)
-    with pytest.raises(ValueError):
-        classify(graph_k2, K=3)
 
 
 # --- serialization --------------------------------------------------------

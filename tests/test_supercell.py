@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from eca_emulation import (
     unravel,
     unravel_iter,
 )
-from eca_emulation.supercell import _unravel_batch
+from eca_emulation.supercell import MAX_SUPERCELL_BITS, _unravel_batch, _unravel_bits
 
 
 def unravel_oracle(rule, cells):
@@ -109,16 +110,38 @@ def test_supercell_step_equals_iterated_unravel():
         assert supercell_step(rule, k, u, v, x) == unravel_iter(rule, u.concat(v).concat(x), k)
 
 
+def test_table_cache_memory_is_bounded():
+    # A table of size 6 is a list of 2^18 entries (~2 MiB), so a caller that
+    # steps many rules at that size must not keep a table for each of them.
+    u = Word.zeros(6)
+    tracemalloc.start()
+    try:
+        for n in range(64):
+            supercell_step(rule_from_wolfram(n), 6, u, u, u)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 2**20
+
+
 def test_batch_kernel_matches_scalar():
+    # For every rule, one multi-step call of the scalar kernel equals single
+    # steps taken one after another (checked against the window-by-window
+    # oracle above) and the batch kernel on the same words; the scalar
+    # kernel is also checked on words wider than a uint64 lane.
     rng = random.Random(11)
-    for _ in range(40):
-        rule = rule_from_wolfram(rng.randrange(256))
-        m = rng.randrange(3, 60)
-        steps = rng.randrange(1, (m - 1) // 2 + 1)
-        words = [rng.getrandbits(m) for _ in range(64)]
-        batch = _unravel_batch(rule.wolfram, np.array(words, dtype=np.uint64), m, steps)
-        for w, got in zip(words, batch.tolist()):
-            assert unravel_iter(rule, Word(w, m), steps).bits == got
+    for n in range(256):
+        for m in (rng.randrange(3, MAX_SUPERCELL_BITS + 1), rng.randrange(63, 200)):
+            steps = rng.randrange(1, (m - 1) // 2 + 1)
+            words = [rng.getrandbits(m) for _ in range(8)]
+            multi = [_unravel_bits(n, w, m, steps) for w in words]
+            for w, got in zip(words, multi):
+                for s in range(steps):
+                    w = _unravel_bits(n, w, m - 2 * s, 1)
+                assert got == w
+            if m <= MAX_SUPERCELL_BITS:
+                batch = _unravel_batch(n, np.array(words, dtype=np.uint64), m, steps)
+                assert batch.tolist() == multi
 
 
 def test_open_window_agrees_with_cyclic_interior():

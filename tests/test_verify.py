@@ -1,5 +1,6 @@
 """The packed witness check against a one-sample-at-a-time reference."""
 
+import functools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from eca_emulation import (
     Encoding,
     Word,
     check_emulation_naive,
+    encode_config,
     rule_from_wolfram,
     verify_witness,
 )
@@ -19,36 +21,44 @@ from eca_emulation.supercell import _unravel_bits
 R = rule_from_wolfram
 
 
-def verify_per_sample(w, length, horizon, samples=100, seed=0):
-    """verify_witness's sample check, one sample at a time; the argument
-    checks and holds() are left to the caller."""
-    f, g, k, enc = w.emulated.wolfram, w.emulator.wolfram, w.k, w.encoding
-    e0, e1 = enc.enc0.bits, enc.enc1.bits
-    chunk = [0] * 256
+@functools.lru_cache(maxsize=None)
+def byte_chunks(enc):
+    """Entry b: the encoding of the 8 cells of byte b, built cell by cell."""
+    k, e0, e1 = enc.k, enc.enc0.bits, enc.enc1.bits
+    chunk = []
     for byte in range(256):
         acc = 0
         for i in range(8):
             acc |= (e1 if (byte >> i) & 1 else e0) << (k * i)
-        chunk[byte] = acc
+        chunk.append(acc)
+    return chunk
 
-    def encode_bits(bits, m):
-        acc = 0
-        for j in range((m + 7) // 8):
-            acc |= chunk[(bits >> (8 * j)) & 0xFF] << (8 * k * j)
-        return acc & ((1 << (k * m)) - 1)
 
+def encode_per_byte(enc, bits, m):
+    """The blockwise encoding of m packed cells, one byte at a time."""
+    k, chunk = enc.k, byte_chunks(enc)
+    acc = 0
+    for j in range((m + 7) // 8):
+        acc |= chunk[(bits >> (8 * j)) & 0xFF] << (8 * k * j)
+    return acc & ((1 << (k * m)) - 1)
+
+
+def verify_per_sample(w, length, horizon, samples=100, seed=0):
+    """verify_witness's sample check, one sample and one step at a time;
+    the argument checks and holds() are left to the caller."""
+    f, g, k, enc = w.emulated.wolfram, w.emulator.wolfram, w.k, w.encoding
     rng = random.Random(seed)
     for _ in range(samples):
         c = rng.getrandbits(length)
-        gbits = encode_bits(c, length)
+        gbits = encode_per_byte(enc, c, length)
         fbits = c
         m = length
         for _t in range(horizon):
-            fbits = _unravel_bits(f, fbits, m)
+            fbits = _unravel_bits(f, fbits, m, 1)
             for s in range(k):
-                gbits = _unravel_bits(g, gbits, k * m - 2 * s)
+                gbits = _unravel_bits(g, gbits, k * m - 2 * s, 1)
             m -= 2
-            if gbits != encode_bits(fbits, m):
+            if gbits != encode_per_byte(enc, fbits, m):
                 return False
     return True
 
@@ -98,3 +108,14 @@ def test_packed_check_block_boundaries(monkeypatch):
             assert verify_witness(w, 3, 1, samples, seed) == expected
         late += verify_per_sample(w, 3, 1, 21, seed)
     assert late  # some seeds pass the whole first block
+
+
+def test_encode_config_matches_per_byte_reference():
+    rng = random.Random(17)
+    for _ in range(300):
+        k = rng.randrange(1, 9)
+        e0, e1 = rng.sample(range(1 << k), 2)
+        enc = Encoding(k, Word(e0, k), Word(e1, k))
+        m = rng.choice((0, 1, 7, 8, 9, rng.randrange(0, 80)))
+        w = Word(rng.getrandbits(m), m)
+        assert encode_config(enc, w) == Word(encode_per_byte(enc, w.bits, m), k * m)
