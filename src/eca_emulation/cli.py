@@ -103,10 +103,10 @@ def cmd_emulate(args) -> int:
         return 1
     witness = EmulationWitness(f, g, args.k, enc)
     text = json.dumps(witness.to_json_dict(), sort_keys=True)
-    print(text)
-    if args.output:
+    if args.output:  # written first, so a path that fails leaves stdout empty
         with open(args.output, "w", encoding="ascii") as fh:
             fh.write(text + "\n")
+    print(text)
     return 0
 
 

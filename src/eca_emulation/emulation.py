@@ -30,13 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rules import EcaRule, _DUAL, rule_from_wolfram
+from .rules import EcaRule, _DUAL, _unravel_bits, rule_from_wolfram
 from .supercell import (
     MAX_SUPERCELL_BITS,
     _TABLE_MAX_K,
     _gk_table_list,
     _unravel_batch,
-    _unravel_bits,
     supercell_step,
 )
 from .words import Word

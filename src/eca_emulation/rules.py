@@ -5,19 +5,21 @@ bit.  Rules are identified by their Wolfram number: bit ``i`` of the number
 is the output for the neighborhood whose index is ``i = 4*b1 + 2*b2 + b3``.
 That index convention is used everywhere in this package.
 
-Rules are evaluated on packed words.  ``_window_eval`` computes any
-3-input Boolean function simultaneously on all bit positions of a packed
-word using a Shannon (multiplexer) decomposition: about a dozen bitwise
-operations regardless of word length.  The same code path serves plain
-Python integers (arbitrary length) and numpy uint64 arrays (words up to
-62 bits, millions at a time).  The exhaustive emulation searches evaluate
-the supercell operation ~10^7 times, so this is the package's hot path.
+Rules are evaluated on packed words.  Each rule has its own minimal
+Boolean chain over the word and its shifts by one and two cells: no
+operations for rules 0, 240 and 255, one for rules 15, 170 and 204, at
+most seven for any rule, 4.9 on average.  ``_chain_step`` compiles a
+rule's chain on first use into one step function that serves plain Python
+integers (arbitrary length) and numpy uint64 arrays (words up to 62 bits,
+millions at a time) alike; ``_unravel_bits`` steps one integer.  The
+exhaustive emulation searches evaluate the supercell operation ~10^7
+times, so this is the package's hot path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 from .words import Grid, Word
 
@@ -112,42 +114,118 @@ def is_affine(r: EcaRule) -> bool:
     return is_linear(r) or is_linear(_RULES[r.wolfram ^ 0xFF])
 
 
-def _two_input(v0: int, v1: int, c, full):
-    """Packed evaluation of the single-variable function c -> (v0, v1)[c]."""
-    if v0:
-        return full if v1 else c ^ full
-    return c if v1 else 0
+# One straight-line program ("chain") per Wolfram number over a = w,
+# b = w >> 1 and c = w >> 2, using AND, OR, XOR and NOT with as few
+# operations as possible, shifts included (tests/test_chains.py holds the
+# exhaustive search that printed this table and checks it).  Statements
+# before the last name a value the chain uses twice; the last one is the
+# result.
+_CHAINS = (
+    "0", "~(a | (b | c))", "c & ~(a | b)", "~(a | b)",  # 0
+    "b & ~(a | c)", "~(a | c)", "(b ^ c) & ~a", "~(a | (b & c))",  # 4
+    "(b & c) & ~a", "~(a | (b ^ c))", "c & ~a", "(c | ~b) & ~a",  # 8
+    "b & ~a", "(b | ~c) & ~a", "(b | c) & ~a", "~a",  # 12
+    "a & ~(b | c)", "~(b | c)", "(a ^ c) & ~b", "~(b | (a & c))",  # 16
+    "(a ^ b) & ~c", "~(c | (a & b))", "(a | (b & c)) ^ (b | c)", "((a ^ b) & (a ^ c)) ^ ~a",  # 20
+    "(a ^ b) & (a ^ c)", "b ^ ((a & b) | ~c)", "a ^ (c | (a & b))", "(a & c) ^ (c | ~b)",  # 24
+    "a ^ (b | (a & c))", "(a & b) ^ (b | ~c)", "a ^ (b | c)", "~(a & (b | c))",  # 28
+    "(a & c) & ~b", "~(b | (a ^ c))", "c & ~b", "(c | ~a) & ~b",  # 32
+    "(a ^ b) & (b ^ c)", "a ^ ((a & b) | ~c)", "b ^ (c | (a & b))", "(a | c) ^ (b | ~c)",  # 36
+    "c & (a ^ b)", "((a & b) | ~c) ^ (a | b)", "c & ~(a & b)", "((a ^ b) & (a ^ c)) ^ ~b",  # 40
+    "(a ^ b) & (b | c)", "a ^ (b | ~c)", "(a & b) ^ (b | c)", "(c & ~b) | ~a",  # 44
+    "a & ~b", "(a | ~c) & ~b", "(a | c) & ~b", "~b",  # 48
+    "b ^ (a | (b & c))", "(a & (b ^ c)) ^ ~c", "b ^ (a | c)", "~(b & (a | c))",  # 52
+    "(a ^ b) & (a | c)", "b ^ (a | ~c)", "(a & b) ^ (a | c)", "(c & ~a) | ~b",  # 56
+    "a ^ b", "(a ^ b) | ~(a | c)", "(a ^ b) | (c & ~a)", "~(a & b)",  # 60
+    "(a & b) & ~c", "~(c | (a ^ b))", "(a ^ c) & (b ^ c)", "a ^ ((a & c) | ~b)",  # 64
+    "b & ~c", "(b | ~a) & ~c", "c ^ (b | (a & c))", "(a | b) ^ (c | ~b)",  # 68
+    "b & (a ^ c)", "((a & c) | ~b) ^ (a | c)", "(a ^ c) & (b | c)", "a ^ (c | ~b)",  # 72
+    "b & ~(a & c)", "((a ^ b) & (a ^ c)) ^ ~c", "(a & c) ^ (b | c)", "(b & ~c) | ~a",  # 76
+    "a & ~c", "(a | ~b) & ~c", "c ^ (a | (b & c))", "(a & (b ^ c)) ^ ~b",  # 80
+    "(a | b) & ~c", "~c", "c ^ (a | b)", "~(c & (a | b))",  # 84
+    "(a ^ c) & (a | b)", "c ^ (a | ~b)", "a ^ c", "(a ^ c) | ~(a | b)",  # 88
+    "(a & c) ^ (a | b)", "(b & ~a) | ~c", "(a ^ c) | (b & ~a)", "~(a & c)",  # 92
+    "a & (b ^ c)", "((b & c) | ~a) ^ (b | c)", "(a | c) & (b ^ c)", "b ^ (c | ~a)",  # 96
+    "(a | b) & (b ^ c)", "c ^ (b | ~a)", "b ^ c", "(b ^ c) | ~(a | b)",  # 100
+    "(a & (b | c)) ^ (b & c)", "(a ^ b) ^ ~c", "c ^ (a & b)", "((a ^ c) & (a | b)) ^ ~b",  # 104
+    "b ^ (a & c)", "((a ^ b) & (a | c)) ^ ~c", "(b & ~a) | (b ^ c)", "(b ^ c) | ~a",  # 108
+    "a & ~(b & c)", "((a ^ b) & (b ^ c)) ^ ~c", "(a | c) ^ (b & c)", "(a & ~c) | ~b",  # 112
+    "(a | b) ^ (b & c)", "(a & ~b) | ~c", "(a & ~b) | (b ^ c)", "~(b & c)",  # 116
+    "a ^ (b & c)", "((a ^ b) & (b | c)) ^ ~c", "(a & ~b) | (a ^ c)", "(a ^ c) | ~b",  # 120
+    "(a & ~c) | (a ^ b)", "(a ^ b) | ~c", "(a ^ b) | (a ^ c)", "~(a & (b & c))",  # 124
+    "a & (b & c)", "~((a ^ b) | (a ^ c))", "c & (a ^ ~b)", "t = ~a; (b ^ t) & (c | t)",  # 128
+    "b & (a ^ ~c)", "t = ~a; (b | t) & (c ^ t)", "(a & (b | c)) ^ (b ^ c)", "(b & c) ^ ~a",  # 132
+    "b & c", "t = ~b; t ^ (c | (a & t))", "c & (b | ~a)", "(a | b) ^ ~(b & c)",  # 136
+    "b & (c | ~a)", "(a | c) ^ ~(b & c)", "(a & (b ^ c)) ^ (b | c)", "(b & c) | ~a",  # 140
+    "a & (b ^ ~c)", "t = ~b; (a | t) & (c ^ t)", "(a ^ (b ^ c)) & (a | c)", "(a & c) ^ ~b",  # 144
+    "(a ^ (b ^ c)) & (a | b)", "(a & b) ^ ~c", "a ^ (b ^ c)", "(a & (b | c)) ^ ~(b & c)",  # 148
+    "(a | b) & (b ^ ~c)", "b ^ ~c", "c ^ (a & ~b)", "(c & (a | b)) ^ ~b",  # 152
+    "b ^ (a & ~c)", "(b & (a | c)) ^ ~c", "(a ^ (b ^ c)) | (b & c)", "~(a & (b ^ c))",  # 156
+    "a & c", "t = ~a; t ^ (c | (b & t))", "c & (a | ~b)", "(a & c) ^ ~(a | b)",  # 160
+    "(a ^ ~c) & (a | b)", "a ^ ~c", "c ^ (b & ~a)", "(c & (a | b)) ^ ~a",  # 164
+    "c & (a | b)", "(a | b) ^ ~c", "c", "c | ~(a | b)",  # 168
+    "b ^ (a & (b ^ c))", "(a ^ ~c) | (b & c)", "c | (b & ~a)", "c | ~a",  # 172
+    "a & (c | ~b)", "(a & c) ^ ~(b | c)", "(a | c) ^ (b & (a ^ c))", "(a & c) | ~b",  # 176
+    "a ^ (b & ~c)", "(a & (b | c)) ^ ~c", "(a & c) | (a ^ (b ^ c))", "~(b & (a ^ c))",  # 180
+    "a ^ (b & (a ^ c))", "(a & c) | (b ^ ~c)", "c | (a & ~b)", "c | ~b",  # 184
+    "(a & c) | (a ^ b)", "(a ^ b) | (a ^ ~c)", "c | (a ^ b)", "c | ~(a & b)",  # 188
+    "a & b", "t = ~a; t ^ (b | (c & t))", "(a ^ ~b) & (a | c)", "a ^ ~b",  # 192
+    "b & (a | ~c)", "(a & b) ^ ~(a | c)", "b ^ (c & ~a)", "(b & (a | c)) ^ ~a",  # 196
+    "b & (a | c)", "(a | c) ^ ~b", "c ^ (a & (b ^ c))", "(a ^ ~b) | (b & c)",  # 200
+    "b", "b | ~(a | c)", "b | (c & ~a)", "b | ~a",  # 204
+    "a & (b | ~c)", "(a & b) ^ ~(b | c)", "a ^ (c & ~b)", "(a & (b | c)) ^ ~b",  # 208
+    "(a | b) ^ (c & (a ^ b))", "(a & b) | ~c", "(a & b) | (a ^ (b ^ c))", "~(c & (a ^ b))",  # 212
+    "a ^ (c & (a ^ b))", "(a & b) | (b ^ ~c)", "(a & b) | (a ^ c)", "(a ^ c) | (a ^ ~b)",  # 216
+    "b | (a & ~c)", "b | ~c", "b | (a ^ c)", "b | ~(a & c)",  # 220
+    "a & (b | c)", "(b | c) ^ ~a", "c ^ (b & (a ^ c))", "(a & c) | (a ^ ~b)",  # 224
+    "b ^ (c & (a ^ b))", "(a & b) | (a ^ ~c)", "(a & b) | (b ^ c)", "(a ^ ~b) | (b ^ c)",  # 228
+    "(a & (b ^ c)) ^ (b & c)", "((a & b) | (a ^ c)) ^ ~b", "c | (a & b)", "c | (a ^ ~b)",  # 232
+    "b | (a & c)", "b | (a ^ ~c)", "b | c", "(b | c) | ~a",  # 236
+    "a", "a | ~(b | c)", "a | (c & ~b)", "a | ~b",  # 240
+    "a | (b & ~c)", "a | ~c", "a | (b ^ c)", "a | ~(b & c)",  # 244
+    "a | (b & c)", "a | (b ^ ~c)", "a | c", "(a | c) | ~b",  # 248
+    "a | b", "(a | b) | ~c", "a | (b | c)", "~0",  # 252
+)
 
 
-def _window_eval(wolfram: int, a, b, c, full):
-    """Evaluate the rule on (a_i, b_i, c_i) at every bit position i.
+@cache
+def _chain_step(wolfram: int):
+    """One unravelling step of the rule, compiled from its chain on first use.
 
-    ``a``, ``b``, ``c`` and ``full`` must be of one kind: all Python ints,
-    or all numpy uint64 values (``full`` may be a scalar).  ``full`` is the
-    all-ones mask of the working width; bits above it come out as garbage
-    and must be masked by the caller.
+    The step maps a packed word to f(w[i], w[i+1], w[i+2]) at every bit
+    position i; it works on Python ints and numpy uint64 arrays alike.  Bits
+    past the last full window, and the bits a NOT sets above the word, come
+    out as garbage for the caller to mask.
     """
-    lo = wolfram & 0xF
-    hi = wolfram >> 4
-    l0 = _two_input(lo & 1, (lo >> 1) & 1, c, full)
-    l1 = _two_input((lo >> 2) & 1, (lo >> 3) & 1, c, full)
-    h0 = _two_input(hi & 1, (hi >> 1) & 1, c, full)
-    h1 = _two_input((hi >> 2) & 1, (hi >> 3) & 1, c, full)
-    f0 = l0 ^ (b & (l0 ^ l1))
-    f1 = h0 ^ (b & (h0 ^ h1))
-    return f0 ^ (a & (f0 ^ f1))
+    *statements, result = _CHAINS[wolfram].split("; ")
+    if result in ("0", "~0"):  # a constant keeps the shape of its input
+        result = result.replace("0", "(a & 0)")
+    shifts = [f"{name} = a >> {n}" for n, name in ((1, "b"), (2, "c"))
+              if name in _CHAINS[wolfram]]
+    body = "".join(f"    {line}\n" for line in shifts + statements)
+    namespace: dict = {}
+    exec(f"def step(a):\n{body}    return {result}\n", namespace)
+    return namespace["step"]
+
+
+def _unravel_bits(wolfram: int, bits: int, m: int, steps: int) -> int:
+    """``steps`` unravelling steps on a packed open word of m cells.
+
+    One mask at the end suffices: garbage, from a window that runs past the
+    last valid cell or from the ones a NOT sets above the word, moves down
+    two cells a step, which is as fast as the steps drop cells.
+    """
+    step = _chain_step(wolfram)
+    for _ in range(steps):
+        bits = step(bits)
+    return bits & ((1 << (m - 2 * steps)) - 1)
 
 
 def _step_bits_cyclic(wolfram: int, bits: int, n: int) -> int:
-    """One synchronous update of a cyclic configuration, packed.
-
-    Works entirely on the packed integer: position i of the three shifted
-    copies holds (c_{i-1}, c_i, c_{i+1}).
-    """
-    mask = (1 << n) - 1
-    left = ((bits << 1) | (bits >> (n - 1))) & mask
-    right = ((bits >> 1) | (bits << (n - 1))) & mask
-    return _window_eval(wolfram, left, bits, right, mask) & mask
+    """One synchronous update of a cyclic configuration, packed: one
+    unravelling step of the n + 2-cell word c[n-1], c[0..n-1], c[0]."""
+    padded = bits >> (n - 1) | bits << 1 | (bits & 1) << (n + 1)
+    return _unravel_bits(wolfram, padded, n + 2, 1)
 
 
 def global_step(r: EcaRule, g: Grid) -> Grid:

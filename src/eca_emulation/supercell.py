@@ -7,10 +7,11 @@ operation on "supercells" of k bits: the algebra operation of the derived
 automaton on the alphabet of k-bit blocks.  A supercell of size k is just
 a Word of length k.
 
-Unravelling runs on packed words through two kernels built on
-``rules._window_eval``: ``_unravel_bits`` for one Python integer of any
-length and ``_unravel_batch`` for a numpy array of words up to 62 bits.
-Each takes a step count, and no other code loops over unravelling steps.
+Unravelling runs on packed words through two kernels, each a loop of the
+rule's compiled chain step (``rules._chain_step``) and one final mask:
+``rules._unravel_bits`` for one Python integer of any length and
+``_unravel_batch`` for a numpy array of words up to 62 bits.  Each takes a
+step count, and no other code loops over unravelling steps.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rules import EcaRule, _window_eval
+from .rules import EcaRule, _chain_step, _unravel_bits
 from .words import Word
 
 # Supercells are ordinary Words whose length equals the supercell size.
@@ -34,18 +35,6 @@ MAX_SUPERCELL_BITS = 62
 _TABLE_MAX_K = 6
 
 
-def _unravel_bits(wolfram: int, bits: int, m: int, steps: int) -> int:
-    """``steps`` unravelling steps on a packed open word of m cells.
-
-    One mask at the end suffices: a window that runs past the last valid
-    cell makes garbage only in cells that the steps after it drop.
-    """
-    full = (1 << m) - 1
-    for _ in range(steps):
-        bits = _window_eval(wolfram, bits, bits >> 1, bits >> 2, full)
-    return bits & ((1 << (m - 2 * steps)) - 1)
-
-
 def _unravel_batch(wolfram: int, words: np.ndarray, m: int, steps: int) -> np.ndarray:
     """``steps`` unravelling steps on a uint64 array of packed m-cell words,
     masked once at the end like ``_unravel_bits``."""
@@ -53,10 +42,10 @@ def _unravel_batch(wolfram: int, words: np.ndarray, m: int, steps: int) -> np.nd
         raise ValueError(f"packed batch kernel limited to {MAX_SUPERCELL_BITS} cells, got {m}")
     if m - 2 * steps < 1:
         raise ValueError(f"cannot unravel {m} cells {steps} times")
-    full = np.uint64((1 << m) - 1)
+    step = _chain_step(wolfram)
     w = words
     for _ in range(steps):
-        w = _window_eval(wolfram, w, w >> 1, w >> 2, full)
+        w = step(w)
     return w & np.uint64((1 << (m - 2 * steps)) - 1)
 
 

@@ -1,7 +1,11 @@
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eca_emulation import cli
 from eca_emulation.cli import main
@@ -27,6 +31,17 @@ def test_emulate_found(capsys, tmp_path):
     payload = json.loads(out)
     assert payload == {"f": 110, "g": 137, "k": 1, "enc0": "1", "enc1": "0"}
     assert json.loads(path.read_text()) == payload
+
+
+def test_emulate_unwritable_output_exit_two(capsys, tmp_path):
+    # The witness file is written before stdout: a path that cannot be
+    # written used to print the witness and then exit 2.
+    with pytest.raises(SystemExit) as err:
+        main(["emulate", "30", "30", "--k", "1", "-o", str(tmp_path / "no" / "w.json")])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_emulate_absent_exit_one(capsys):
@@ -226,3 +241,64 @@ def test_bench_smoke(capsys):
     code, out = run(capsys, "bench", "--k", "3", "--rule", "148")
     assert code == 0
     assert "ratio:" in out
+
+
+def _well_formed(d) -> bool:
+    """The witness shape, stated apart from the parser: rules f and g, a
+    size k and two distinct k-cell texts; other keys are ignored."""
+    if not isinstance(d, dict) or not {"f", "g", "k", "enc0", "enc1"} <= d.keys():
+        return False
+    f, g, k, e0, e1 = (d[key] for key in ("f", "g", "k", "enc0", "enc1"))
+    return (all(type(v) is int for v in (f, g, k)) and 0 <= f <= 255 and 0 <= g <= 255
+            and k >= 1 and all(type(e) is str and len(e) == k and set(e) <= {"0", "1"}
+                               for e in (e0, e1))
+            and e0 != e1)
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-300, 300) | st.floats(allow_nan=False)
+    | st.text("01x ", max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def _witness_docs(draw):
+    """A witness with a few of its fields dropped or replaced by any JSON
+    value, an extra field perhaps added; or some JSON that is no object."""
+    k = draw(st.integers(1, 3))
+    cells = st.text("01", min_size=k, max_size=k)
+    doc = {"f": draw(st.integers(0, 255)), "g": draw(st.integers(0, 255)), "k": k,
+           "enc0": draw(cells), "enc1": draw(cells)}
+    for key in draw(st.sets(st.sampled_from([*doc, "note"]), max_size=2)):
+        if draw(st.booleans()):
+            doc.pop(key, None)
+        else:
+            doc[key] = draw(_json)
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_witness_docs() | _json)
+def test_verify_exit_code_follows_the_witness_shape(doc):
+    # A well-formed witness gets a verdict, exit 0 or 1; anything else is
+    # malformed input, exit 2 with one error line and nothing on stdout.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/w.json"
+        with open(path, "w", encoding="ascii") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(["verify", path, "--length", "12", "--horizon", "2",
+                             "--samples", "10"])
+            except SystemExit as exc:
+                code = exc.code
+    if _well_formed(doc):
+        assert code in (0, 1)
+        assert out.getvalue() == ("valid\n" if code == 0 else "invalid\n")
+    else:
+        assert code == 2
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

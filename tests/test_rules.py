@@ -130,13 +130,16 @@ def test_global_step_examples():
 
 
 def test_global_step_matches_cellwise_oracle():
+    # Every rule on all eight grids of the smallest size and on one larger
+    # grid, against the cell-by-cell definition.
     rng = random.Random(5)
-    for _ in range(200):
-        n = rng.randrange(3, 40)
-        rule = rule_from_wolfram(rng.randrange(256))
-        cells = [rng.randrange(2) for _ in range(n)]
-        stepped = global_step(rule, Grid(Word.from_bits(cells)))
-        assert list(stepped.cells) == step_oracle(rule, cells)
+    for n in range(256):
+        rule = rule_from_wolfram(n)
+        grids = [[(i >> j) & 1 for j in range(3)] for i in range(8)]
+        grids.append([rng.randrange(2) for _ in range(rng.randrange(4, 80))])
+        for cells in grids:
+            stepped = global_step(rule, Grid(Word.from_bits(cells)))
+            assert list(stepped.cells) == step_oracle(rule, cells)
 
 
 def test_global_step_rejects():

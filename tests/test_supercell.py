@@ -31,12 +31,25 @@ def test_unravel_examples():
 
 
 def test_unravel_matches_oracle():
+    # Every rule against the window-by-window definition, through both
+    # kernels: the scalar one on a short word and on one wider than a uint64
+    # lane, the batch one for several steps on eight words at once.
     rng = random.Random(2)
-    for _ in range(300):
-        n = rng.randrange(3, 50)
-        rule = rule_from_wolfram(rng.randrange(256))
-        cells = [rng.randrange(2) for _ in range(n)]
-        assert list(unravel(rule, Word.from_bits(cells))) == unravel_oracle(rule, cells)
+    for n in range(256):
+        rule = rule_from_wolfram(n)
+        for m in (rng.randrange(3, 50), rng.randrange(65, 200)):
+            cells = [rng.randrange(2) for _ in range(m)]
+            assert list(unravel(rule, Word.from_bits(cells))) == unravel_oracle(rule, cells)
+        m = rng.randrange(3, MAX_SUPERCELL_BITS + 1)
+        steps = rng.randrange(1, (m - 1) // 2 + 1)
+        words = [[rng.randrange(2) for _ in range(m)] for _ in range(8)]
+        expected = []
+        for cells in words:
+            for _ in range(steps):
+                cells = unravel_oracle(rule, cells)
+            expected.append(Word.from_bits(cells).bits)
+        packed = np.array([Word.from_bits(cells).bits for cells in words], dtype=np.uint64)
+        assert _unravel_batch(n, packed, m, steps).tolist() == expected
 
 
 def test_unravel_rejects_short_words():
