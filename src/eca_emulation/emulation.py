@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rules import EcaRule, _DUAL, _unravel_bits, rule_from_wolfram
+from .rules import EcaRule, _DUAL, _MIRROR, _conjugates, _unravel_bits, rule_from_wolfram
 from .supercell import (
     MAX_SUPERCELL_BITS,
     _TABLE_MAX_K,
@@ -51,6 +51,7 @@ _CHUNK = 1 << 14
 _VERIFY_BITS = 1 << 18
 
 _DUAL_ARR = np.array(_DUAL, dtype=np.uint16)
+_MIRROR_ARR = np.array(_MIRROR, dtype=np.uint16)
 
 
 def _check_k(k: int) -> None:
@@ -323,7 +324,7 @@ def emulated_rules(g: EcaRule, k: int) -> list[tuple[EcaRule, Encoding]]:
             for f, a, b in zip(wol[order].tolist(), e0[order].tolist(), e1[order].tolist())]
 
 
-def emulated_rule_map(g: EcaRule, k: int) -> dict[int, Encoding]:
+def emulated_rule_map(g: EcaRule, k: int, targets=None) -> dict:
     """Map each emulated Wolfram number to its minimal witnessing encoding.
 
     Same relation as emulated_rules, aggregated: for every f with f <=_k g
@@ -331,19 +332,52 @@ def emulated_rule_map(g: EcaRule, k: int) -> dict[int, Encoding]:
     entry for f in emulated_rules.  Each chunk of closed pairs is folded
     into a per-rule minimum of enc0 << k | enc1 over both orientations, so
     memory stays flat in k and the map has at most 256 entries.
+
+    ``targets``, a sequence of rules in g's orbit under mirror and dual,
+    asks for the maps of all of them from g's one enumeration; the result
+    is then keyed (t, f) and holds, for each target t, exactly the entries
+    of emulated_rule_map(t, k).  The maps carry closed pairs one-to-one:
+    f <=_k g via (u, v) exactly when mirror(f) <=_k mirror(g) via the
+    reversed supercells (rev u, rev v), and exactly when f <=_k dual(g)
+    via the complements (~u, ~v).  So each chunk is folded once per target
+    through the map that carries g to it, and the minimum over the images
+    of all of g's closed pairs is t's own scan-order-minimal witness.
     """
     _check_k(k)
+    n = 1 << k
     none = np.iinfo(np.uint64).max
-    best = np.full(256, none, dtype=np.uint64)
     sk = np.uint64(k)
+    orbit = _conjugates(g.wolfram)
+    folds = []  # (t, per-rule minimum, supercell map or None, mirrored)
+    for t in (g.wolfram,) if targets is None else targets:
+        if t not in orbit:
+            raise ValueError(f"rule {t} is not in the mirror/dual orbit of rule {g.wolfram}")
+        mirrored, dualized = orbit[t]
+        cells = None
+        if mirrored or dualized:
+            cells = np.arange(n, dtype=np.uint64)
+            if mirrored:
+                cells = sum((cells >> np.uint64(i) & np.uint64(1)) << np.uint64(k - 1 - i)
+                            for i in range(k))
+            if dualized:
+                cells ^= np.uint64(n - 1)
+        folds.append((t, np.full(256, none, dtype=np.uint64), cells, mirrored))
     for u, v, w in _closed_pairs(g.wolfram, k, _diagonal_map(g.wolfram, k)):
-        np.minimum.at(best, w, u << sk | v)
-        np.minimum.at(best, _DUAL_ARR[w], v << sk | u)
-    mask = (1 << k) - 1
-    return {
-        f: Encoding(k, Word(key >> k, k), Word(key & mask, k))
-        for f, key in enumerate(best.tolist()) if key != none
+        for _, best, cells, mirrored in folds:
+            a, b = (u, v) if cells is None else (cells[u.astype(np.int64)],
+                                                 cells[v.astype(np.int64)])
+            f = _MIRROR_ARR[w] if mirrored else w
+            np.minimum.at(best, f, a << sk | b)
+            np.minimum.at(best, _DUAL_ARR[f], b << sk | a)
+    mask = n - 1
+    maps = {
+        t: {f: Encoding(k, Word(key >> k, k), Word(key & mask, k))
+            for f, key in enumerate(best.tolist()) if key != none}
+        for t, best, _, _ in folds
     }
+    if targets is None:
+        return maps[g.wolfram]
+    return {(t, f): enc for t, m in maps.items() for f, enc in m.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,14 @@ computed per class representative (the smaller Wolfram number).  An edge
 1..K at which the emulated representative's class is reproduced inside the
 emulator's supercell algebra, together with a minimal witnessing encoding.
 
+Mirror and dual carry the closed pairs of a rule one-to-one onto those of
+its conjugates (see ``emulated_rule_map``), so a sweep takes the 136
+representatives by their 88 orbits under both maps (Wolfram's classes):
+one enumeration of an orbit's smallest rule yields the cells of all of
+the orbit's representatives at that size, byte for byte as enumerating
+each would, and a size costs 88 enumerations instead of 136.  The chaos
+search of ``classify`` runs once per orbit and size too.
+
 Raw per-(rule, size) results are kept on the graph and in optional on-disk
 cache shards; class-level aggregation happens only at edge/report time, so
 per-member differences are never lost.  All outputs are deterministic:
@@ -22,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .emulation import Encoding, EmulationWitness, emulated_rule_map, proper_subalgebra_search
-from .rules import EcaRule, _DUAL, rule_from_wolfram
+from .rules import _DUAL, _conjugates, rule_from_wolfram
 from .words import Word
 
 # Bump when the computation changes in a way that invalidates cached shards.
@@ -103,10 +111,19 @@ class HierarchyGraph:
         return [e for e in self.edges if e.emulated == emulated]
 
 
-def _compute_cell(args: tuple[int, int]) -> tuple[int, int, list[tuple[int, int, int]]]:
-    g, k = args
-    m = emulated_rule_map(rule_from_wolfram(g), k)
-    return g, k, sorted((f, e.enc0.bits, e.enc1.bits) for f, e in m.items())
+def _orbit_min(g: int) -> int:
+    """The smallest rule of g's mirror/dual orbit, a duality representative."""
+    return min(_conjugates(g))
+
+
+def _compute_orbit(args: tuple[int, int, tuple[int, ...]]
+                   ) -> list[tuple[int, int, list[tuple[int, int, int]]]]:
+    """The cells (t, k) of the representatives t of one orbit, from one
+    enumeration of the orbit's smallest rule h."""
+    h, k, targets = args
+    m = emulated_rule_map(rule_from_wolfram(h), k, targets)
+    return [(t, k, sorted((f, e.enc0.bits, e.enc1.bits) for (s, f), e in m.items() if s == t))
+            for t in targets]
 
 
 def _shard_path(cache_dir: str, g: int, k: int) -> str:
@@ -136,14 +153,14 @@ def _load_shard(cache_dir: str, g: int, k: int) -> list[tuple[int, int, int]] | 
 def _store_shard(cache_dir: str, g: int, k: int, entries: list[tuple[int, int, int]]) -> None:
     """Write the shard through a temp file of its own, so concurrent runs
     sharing the cache never write into one file."""
-    payload = {"schema": CACHE_SCHEMA, "rule": g, "k": k,
-               "emulated": [list(e) for e in entries]}
+    text = json.dumps({"schema": CACHE_SCHEMA, "rule": g, "k": k,
+                       "emulated": [list(e) for e in entries]}, sort_keys=True)
     path = _shard_path(cache_dir, g, k)
     fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
                                dir=cache_dir)
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, sort_keys=True)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -156,9 +173,11 @@ def compute_hierarchy(K: int, reps: list[int] | None = None, workers: int = 1,
 
     ``reps`` restricts the computed emulators (arbitrary rule numbers are
     canonicalized to their class representatives); emulated representatives
-    outside the selection still appear as edge targets and nodes.  Cells
-    (rule, k) are independent and are farmed to ``workers`` processes; the
-    merged result is deterministic regardless of scheduling.  With
+    outside the selection still appear as edge targets and nodes.  The
+    cells (rule, k) that are not cached are grouped into one task per
+    mirror/dual orbit and size, which enumerates the orbit's smallest rule
+    once for all of them; tasks are farmed to ``workers`` processes, and
+    the merged result is deterministic regardless of scheduling.  With
     ``cache_dir`` set, finished cells are loaded from / stored to one JSON
     shard per cell so K can be raised incrementally.
     """
@@ -169,29 +188,32 @@ def compute_hierarchy(K: int, reps: list[int] | None = None, workers: int = 1,
     sources = REPS if reps is None else tuple(sorted({rep_of(r) for r in reps}))
 
     raw: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    pending = []
+    pending: dict[tuple[int, int], list[int]] = {}  # (orbit minimum, k) -> missing reps
     for g in sources:
+        h = _orbit_min(g)
         for k in range(1, K + 1):
             if cache_dir is not None:
                 hit = _load_shard(cache_dir, g, k)
                 if hit is not None:
                     raw[(g, k)] = hit
                     continue
-            pending.append((g, k))
+            pending.setdefault((h, k), []).append(g)
+    tasks = [(h, k, tuple(missing)) for (h, k), missing in sorted(pending.items())]
 
-    if pending:
-        # Each shard is stored as soon as its cell arrives, so an interrupted
-        # sweep keeps the cells it finished.
+    if tasks:
+        # Each shard is stored as soon as its orbit task arrives, so an
+        # interrupted sweep keeps the cells it finished.
         if cache_dir is not None:
             os.makedirs(cache_dir, exist_ok=True)
         pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
         try:
-            results = (map(_compute_cell, pending) if pool is None
-                       else pool.map(_compute_cell, pending, chunksize=4))
-            for g, k, entries in results:
-                raw[(g, k)] = entries
-                if cache_dir is not None:
-                    _store_shard(cache_dir, g, k, entries)
+            results = (map(_compute_orbit, tasks) if pool is None
+                       else pool.map(_compute_orbit, tasks, chunksize=4))
+            for cells in results:
+                for g, k, entries in cells:
+                    raw[(g, k)] = entries
+                    if cache_dir is not None:
+                        _store_shard(cache_dir, g, k, entries)
         finally:
             if pool is not None:
                 pool.shutdown()
@@ -304,6 +326,7 @@ def classify(g: HierarchyGraph) -> ClassificationReport:
     zero_emulators = []
     chaos_candidates = []
     counts: dict[int, int] = {}
+    chaotic: dict[int, bool] = {}  # orbit minimum -> no proper subalgebra at 2..K
     computed = sorted({gg for gg, _ in g.raw})
     for node in computed:
         found = {f for k in range(2, K + 1) for f, _, _ in g.raw[(node, k)]}
@@ -316,8 +339,14 @@ def classify(g: HierarchyGraph) -> ClassificationReport:
         # expensive search only runs for rules with empty results there.
         if found:
             continue
-        rule = rule_from_wolfram(node)
-        if all(proper_subalgebra_search(rule, k) is None for k in range(2, K + 1)):
+        # Whether a proper subalgebra exists is the same for every rule of
+        # an orbit, so each orbit is searched once, on its smallest rule.
+        h = _orbit_min(node)
+        if h not in chaotic:
+            rule = rule_from_wolfram(h)
+            chaotic[h] = all(proper_subalgebra_search(rule, k) is None
+                             for k in range(2, K + 1))
+        if chaotic[h]:
             chaos_candidates.append(node)
 
     return ClassificationReport(

@@ -94,6 +94,18 @@ def mirror(r: EcaRule) -> EcaRule:
     return _RULES[_MIRROR[r.wolfram]]
 
 
+def _conjugates(n: int) -> dict[int, tuple[bool, bool]]:
+    """The rules of n's orbit under mirror and dual (one of Wolfram's 88
+    classes), each mapped to a pair (mirrored, dualized) of the maps that
+    carry n to it; n itself maps to (False, False)."""
+    out: dict[int, tuple[bool, bool]] = {}
+    for mirrored in (False, True):
+        for dualized in (False, True):
+            t = _DUAL[n] if dualized else n
+            out.setdefault(_MIRROR[t] if mirrored else t, (mirrored, dualized))
+    return out
+
+
 def is_linear(r: EcaRule) -> bool:
     """True iff r is a XOR-combination of its inputs with r(0,0,0) = 0.
 

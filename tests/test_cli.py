@@ -7,7 +7,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eca_emulation import cli
+from eca_emulation import cli, hierarchy
 from eca_emulation.cli import main
 
 
@@ -130,6 +130,49 @@ def test_hierarchy_k8_exports_unchanged(capsys, tmp_path):
                       "--cache-dir", cache, f"--{fmt}", "-o", str(path))
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, fmt
+
+
+def _cache_digest(cache):
+    h = hashlib.sha256()
+    for path in sorted(cache.iterdir()):
+        h.update(path.name.encode() + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def test_hierarchy_k8_shards_unchanged(capsys, tmp_path, monkeypatch):
+    # sha256 over the sorted names and bytes of the shards `eca-emu
+    # hierarchy --kmax 8 --workers 2` writes, recorded before each
+    # mirror/dual orbit was enumerated once for both of its representatives
+    golden = "fc76702a4462204f17313a24cbcde632543c8e0916f6bf9669a3f1224fc3465e"
+    cache = tmp_path / "cache"
+    code, _ = run(capsys, "hierarchy", "--kmax", "8", "--workers", "2",
+                  "--cache-dir", str(cache), "--csv")
+    assert code == 0
+    assert len(list(cache.iterdir())) == 136 * 8
+    assert _cache_digest(cache) == golden
+    # 170 and 240 share an orbit: with 240's shard gone, the rerun computes
+    # that orbit from 170's enumeration and writes 240's shard alone
+    (cache / "rule240_k08.json").unlink()
+    stored = []
+    store = hierarchy._store_shard
+    monkeypatch.setattr(hierarchy, "_store_shard",
+                        lambda d, g, k, e: (stored.append((g, k)), store(d, g, k, e)))
+    code, _ = run(capsys, "hierarchy", "--kmax", "8", "--cache-dir", str(cache), "--csv")
+    assert code == 0
+    assert stored == [(240, 8)]
+    assert _cache_digest(cache) == golden
+    # one representative swept alone gets the full sweep's cells, whether
+    # it is its orbit's smallest rule (170) or is folded from it (240)
+    for rule in (170, 240):
+        alone = tmp_path / f"alone{rule}"
+        code, _ = run(capsys, "hierarchy", "--kmax", "8", "--rules", str(rule),
+                      "--cache-dir", str(alone), "--csv")
+        assert code == 0
+        names = sorted(p.name for p in alone.iterdir())
+        assert names == [f"rule{rule:03d}_k{k:02d}.json" for k in range(1, 9)]
+        for name in names:
+            assert (alone / name).read_bytes() == (cache / name).read_bytes(), name
 
 
 def test_simulate_writes_pbm(capsys, tmp_path):

@@ -18,6 +18,7 @@ from eca_emulation import (
     emulated_rules,
     encode_config,
     is_self_similar,
+    mirror,
     pair_closure,
     proper_subalgebra_search,
     rule_from_wolfram,
@@ -194,6 +195,61 @@ def test_duality_transport():
                 assert carried.holds(), (g, f, k)
 
 
+def _reversed(w):
+    return W(w.text[::-1])
+
+
+def test_mirror_transport():
+    # f <=_k g exactly when mirror(f) <=_k mirror(g), and reversing both
+    # code words transports the witness
+    for g in range(0, 256, 7):
+        for k in (1, 2, 3):
+            rules = emulated_rule_map(R(g), k)
+            mirrored = set(emulated_rule_map(mirror(R(g)), k))
+            assert mirrored == {mirror(R(f)).wolfram for f in rules}
+            for f, enc in rules.items():
+                carried = EmulationWitness(mirror(R(f)), mirror(R(g)), k,
+                                           Encoding(k, _reversed(enc.enc0),
+                                                    _reversed(enc.enc1)))
+                assert carried.holds(), (g, f, k)
+
+
+def _orbit(g):
+    return sorted({g, mirror(R(g)).wolfram, dual(R(g)).wolfram,
+                   mirror(dual(R(g))).wolfram})
+
+
+def _folded(g, k, targets):
+    """Each target's map, as folded from g's one enumeration."""
+    m = emulated_rule_map(R(g), k, targets)
+    assert all(t in targets for t, _ in m)
+    return {t: {f: enc for (s, f), enc in m.items() if s == t} for t in targets}
+
+
+def test_orbit_fold_matches_direct_maps():
+    # every conjugate's map, folded from one enumeration of g, is the map a
+    # direct enumeration of that conjugate gives, witnesses included
+    for k in range(1, 6):
+        direct = {g: emulated_rule_map(R(g), k) for g in range(256)}
+        for g in range(256):
+            targets = _orbit(g)
+            assert _folded(g, k, targets) == {t: direct[t] for t in targets}, (g, k)
+
+
+@pytest.mark.parametrize("g", [170, 30])
+@pytest.mark.parametrize("k", [8, 9])
+def test_orbit_fold_matches_direct_maps_larger(g, k):
+    targets = _orbit(g)
+    assert _folded(g, k, targets) == {t: emulated_rule_map(R(t), k) for t in targets}
+
+
+def test_orbit_fold_rejects_a_rule_outside_the_orbit():
+    assert emulated_rule_map(R(30), 2, [30]) == {
+        (30, f): enc for f, enc in emulated_rule_map(R(30), 2).items()}
+    with pytest.raises(ValueError, match="orbit"):
+        emulated_rule_map(R(30), 2, [110])
+
+
 # --- witness verification ----------------------------------------------
 
 def test_verify_witness_valid_dual_pair():
@@ -359,6 +415,15 @@ def test_search_matches_subset_oracle_size_three():
         g = R(n)
         found = proper_subalgebra_search(g, 3)
         assert (found is not None) == brute_has_proper_subalgebra(g, 3), n
+
+
+def test_subalgebra_existence_is_invariant_on_orbits():
+    # mirror and dual carry subalgebras one-to-one, so whether a proper one
+    # exists is the same for every rule of an orbit
+    for k in range(1, 6):
+        none = {g: proper_subalgebra_search(R(g), k) is None for g in range(256)}
+        for g in range(256):
+            assert len({none[t] for t in _orbit(g)}) == 1, (g, k)
 
 
 def test_proper_subalgebra_search_examples():

@@ -169,26 +169,56 @@ def test_cache_failed_write_removes_its_temp(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-_real_compute_cell = hierarchy._compute_cell
+_real_compute_orbit = hierarchy._compute_orbit
 
 
-def _cell_failing_at_3_1(args):
+def _orbit_failing_at_2_3(args):
     # module level, so that worker processes can unpickle it
-    if args == (3, 1):
-        raise RuntimeError("cell (3, 1) failed")
-    return _real_compute_cell(args)
+    if args[:2] == (2, 3):
+        raise RuntimeError(f"orbit task {args} failed")
+    return _real_compute_orbit(args)
+
+
+def _direct_cell(g, k):
+    return sorted((f, e.enc0.bits, e.enc1.bits)
+                  for f, e in emulated_rule_map(rule_from_wolfram(g), k).items())
 
 
 def test_interrupted_parallel_sweep_keeps_finished_shards(tmp_path, monkeypatch):
-    monkeypatch.setattr(hierarchy, "_compute_cell", _cell_failing_at_3_1)
+    monkeypatch.setattr(hierarchy, "_compute_orbit", _orbit_failing_at_2_3)
     cache = tmp_path / "cache"
-    with pytest.raises(RuntimeError, match=r"cell \(3, 1\) failed"):
-        compute_hierarchy(3, reps=[0, 1, 2, 3], workers=2, cache_dir=str(cache))
-    # cells go out in (rule, k) order, four to a batch; (3, 1) is the tenth
-    # cell, so the two batches before its own had returned
-    for g, k in [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 1), (2, 2)]:
-        assert _load_shard(str(cache), g, k) == _real_compute_cell((g, k))[2], (g, k)
-    assert _load_shard(str(cache), 3, 1) is None
+    with pytest.raises(RuntimeError, match=r"orbit task \(2, 3, \(2, 16\)\) failed"):
+        compute_hierarchy(3, reps=[0, 1, 3, 2, 16], workers=2, cache_dir=str(cache))
+    # Rules 2 and 16 share one mirror/dual orbit, so one task (h, k, reps)
+    # computes both of their cells at size k.  Tasks go out in (h, k) order,
+    # four to a batch; (2, 3) is the ninth task, so the two batches before
+    # its own had returned, with the cells of both representatives.
+    finished = [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3),
+                (2, 1), (16, 1), (2, 2), (16, 2)]
+    for g, k in finished:
+        assert _load_shard(str(cache), g, k) == _direct_cell(g, k), (g, k)
+    assert _load_shard(str(cache), 2, 3) is None
+    assert _load_shard(str(cache), 16, 3) is None
+    assert sorted(p.name for p in cache.iterdir()) == sorted(
+        f"rule{g:03d}_k{k:02d}.json" for g, k in finished)
+
+
+def test_orbit_tasks_cover_every_representative_once():
+    # 136 representatives fall into 88 mirror/dual orbits, 48 of them with
+    # two representatives; each orbit's smallest rule is a representative
+    orbits = {}
+    for g in hierarchy.REPS:
+        orbits.setdefault(hierarchy._orbit_min(g), []).append(g)
+    assert len(orbits) == 88
+    assert sum(len(reps) == 2 for reps in orbits.values()) == 48
+    assert all(h in hierarchy.REPS and h <= min(reps) for h, reps in orbits.items())
+    assert orbits[170] == [170, 240] and orbits[30] == [30, 86]
+
+
+def test_orbit_task_matches_direct_cells():
+    for h, k, reps in [(170, 6, (170, 240)), (30, 5, (86,)), (2, 4, (2, 16))]:
+        assert _real_compute_orbit((h, k, reps)) == [
+            (g, k, _direct_cell(g, k)) for g in reps]
 
 
 # --- transitive reduction ------------------------------------------------
