@@ -148,7 +148,11 @@ def cmd_chaos(args) -> int:
 
 def cmd_verify(args) -> int:
     with open(args.witness, "r", encoding="ascii") as fh:
-        witness = EmulationWitness.from_json_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("witness file is nested too deeply") from None
+    witness = EmulationWitness.from_json_dict(doc)
     ok = verify_witness(witness, args.length, args.horizon,
                         samples=args.samples, seed=args.seed)
     print("valid" if ok else "invalid")

@@ -30,14 +30,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rules import EcaRule, _DUAL, _MIRROR, _conjugates, _unravel_bits, rule_from_wolfram
-from .supercell import (
+from .rules import (
     MAX_SUPERCELL_BITS,
-    _TABLE_MAX_K,
-    _gk_table_list,
+    EcaRule,
+    _DUAL,
+    _MIRROR,
+    _conjugates,
     _unravel_batch,
-    supercell_step,
+    _unravel_bits,
+    rule_from_wolfram,
 )
+from .supercell import _gk_table_list, supercell_step
 from .words import Word
 
 # Chunk size for the batched scans; results never depend on it.  At 2^14
@@ -160,6 +163,12 @@ class EmulationWitness:
 
 # ---------------------------------------------------------------------------
 # Naive decision procedure: scan all encodings for one fixed candidate f.
+
+# The naive scan reads a full table of the supercell operation up to this
+# size (a 2^(3k)-entry list from supercell._gk_table_list) and runs the
+# batch kernel over the encoding pairs above it.
+_TABLE_MAX_K = 6
+
 
 def check_emulation_naive(f: EcaRule, g: EcaRule, k: int) -> Encoding | None:
     """Search for an encoding witnessing f <=_k g; None if there is none.

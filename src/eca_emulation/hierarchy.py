@@ -132,12 +132,13 @@ def _shard_path(cache_dir: str, g: int, k: int) -> str:
 
 def _load_shard(cache_dir: str, g: int, k: int) -> list[tuple[int, int, int]] | None:
     """The cell's entries, or None (a cache miss) unless the shard parses and
-    has the shape _store_shard writes."""
+    has the shape _store_shard writes: entries [f, enc0, enc1] with f a
+    Wolfram number and two distinct k-cell codes."""
     path = _shard_path(cache_dir, g, k)
     try:
         with open(path, "r", encoding="ascii") as fh:
             data = json.load(fh)
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
         return None
     if (not isinstance(data, dict) or data.get("schema") != CACHE_SCHEMA
             or data.get("rule") != g or data.get("k") != k):
@@ -145,6 +146,8 @@ def _load_shard(cache_dir: str, g: int, k: int) -> list[tuple[int, int, int]] | 
     entries = data.get("emulated")
     if not isinstance(entries, list) or not all(
             isinstance(e, list) and len(e) == 3 and all(type(x) is int for x in e)
+            and 0 <= e[0] <= 255 and 0 <= e[1] < 1 << k and 0 <= e[2] < 1 << k
+            and e[1] != e[2]
             for e in entries):
         return None
     return [tuple(entry) for entry in entries]

@@ -9,11 +9,13 @@ Rules are evaluated on packed words.  Each rule has its own minimal
 Boolean chain over the word and its shifts by one and two cells: no
 operations for rules 0, 240 and 255, one for rules 15, 170 and 204, at
 most seven for any rule, 4.9 on average.  ``_chain_step`` compiles a
-rule's chain on first use into one step function that serves plain Python
-integers (arbitrary length) and numpy uint64 arrays (words up to 62 bits,
-millions at a time) alike; ``_unravel_bits`` steps one integer.  The
-exhaustive emulation searches evaluate the supercell operation ~10^7
-times, so this is the package's hot path.
+rule's chain on first use into one unravelling step that serves Python
+integers (any length) and numpy uint64 arrays (words up to
+``MAX_SUPERCELL_BITS`` cells, millions at a time) alike.  ``_unravel_bits``
+loops it and masks once at the end; ``_unravel_batch`` is the same call on
+an array, its lane width checked.  All unravelling in the package goes
+through these two, ~10^7 supercell operations per exhaustive search, so
+this is the package's hot path.
 """
 
 from __future__ import annotations
@@ -21,7 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, reduce
 
+import numpy as np
+
 from .words import Grid, Word
+
+# The array kernels keep a packed word of 3k cells in one uint64 lane.
+MAX_SUPERCELL_BITS = 62
 
 
 @dataclass(frozen=True)
@@ -221,7 +228,8 @@ def _chain_step(wolfram: int):
 
 
 def _unravel_bits(wolfram: int, bits: int, m: int, steps: int) -> int:
-    """``steps`` unravelling steps on a packed open word of m cells.
+    """``steps`` unravelling steps on a packed open word of m cells, or on
+    every lane of a uint64 array of such words (see ``_unravel_batch``).
 
     One mask at the end suffices: garbage, from a window that runs past the
     last valid cell or from the ones a NOT sets above the word, moves down
@@ -231,6 +239,15 @@ def _unravel_bits(wolfram: int, bits: int, m: int, steps: int) -> int:
     for _ in range(steps):
         bits = step(bits)
     return bits & ((1 << (m - 2 * steps)) - 1)
+
+
+def _unravel_batch(wolfram: int, words: np.ndarray, m: int, steps: int) -> np.ndarray:
+    """``_unravel_bits`` on a uint64 array of packed m-cell words."""
+    if m > MAX_SUPERCELL_BITS:
+        raise ValueError(f"packed batch kernel limited to {MAX_SUPERCELL_BITS} cells, got {m}")
+    if m - 2 * steps < 1:
+        raise ValueError(f"cannot unravel {m} cells {steps} times")
+    return _unravel_bits(wolfram, words, m, steps)
 
 
 def _step_bits_cyclic(wolfram: int, bits: int, n: int) -> int:

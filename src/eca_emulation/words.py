@@ -40,8 +40,10 @@ class Word:
 
     @classmethod
     def from_text(cls, text: str) -> "Word":
-        """Parse a string of '0'/'1' characters, cell 0 first."""
-        return cls.from_bits(int(ch) for ch in text)
+        """Parse a string of ASCII '0'/'1' characters, cell 0 first."""
+        if not set(text) <= {"0", "1"}:
+            raise ValueError(f"word text {text!r} has a character other than 0 and 1")
+        return cls(int(text[::-1] or "0", 2), len(text))
 
     @classmethod
     def zeros(cls, n: int) -> "Word":

@@ -220,6 +220,9 @@ def test_verify_witness_file(capsys, tmp_path):
     '{"f": 184, "g": 148, "k": 2, "enc0": "00", "enc1": 5}',
     '{"f": 184.7, "g": 148, "k": 2, "enc0": "00", "enc1": "10"}',  # not truncated
     '{"f": 184, "g": 148, "k": 2, "enc0": [0, 0], "enc1": "10"}',
+    '{"f": 184, "g": 148, "k": 2, "enc0": "00", "enc1": "\\uff11\\uff10"}',  # fullwidth 10
+    '{"f": 184, "g": 148, "k": 2, "enc0": "00", "enc1": "\\u0661\\u0660"}',  # Arabic-Indic 10
+    pytest.param("[" * 100_000, id="nested-past-the-recursion-limit"),
 ])
 def test_verify_malformed_witness_exit_two(capsys, tmp_path, text):
     # exit 1 is the verdict "invalid"; a file that is no witness is exit 2
@@ -311,7 +314,7 @@ def _witness_docs(draw):
     """A witness with a few of its fields dropped or replaced by any JSON
     value, an extra field perhaps added; or some JSON that is no object."""
     k = draw(st.integers(1, 3))
-    cells = st.text("01", min_size=k, max_size=k)
+    cells = st.text("01\uff11", min_size=k, max_size=k)  # a fullwidth 1 is no cell
     doc = {"f": draw(st.integers(0, 255)), "g": draw(st.integers(0, 255)), "k": k,
            "enc0": draw(cells), "enc1": draw(cells)}
     for key in draw(st.sets(st.sampled_from([*doc, "note"]), max_size=2)):

@@ -5,16 +5,20 @@ import numpy as np
 import pytest
 
 from eca_emulation import (
+    Encoding,
+    EmulationWitness,
     Grid,
     Word,
     apply_local,
+    check_emulation_naive,
     global_step,
     rule_from_wolfram,
     supercell_step,
     unravel,
     unravel_iter,
 )
-from eca_emulation.supercell import MAX_SUPERCELL_BITS, _unravel_batch, _unravel_bits
+from eca_emulation.rules import MAX_SUPERCELL_BITS, _unravel_batch, _unravel_bits
+from eca_emulation.supercell import _gk_table_list
 
 
 def unravel_oracle(rule, cells):
@@ -124,17 +128,24 @@ def test_supercell_step_equals_iterated_unravel():
 
 
 def test_table_cache_memory_is_bounded():
-    # A table of size 6 is a list of 2^18 entries (~2 MiB), so a caller that
-    # steps many rules at that size must not keep a table for each of them.
-    u = Word.zeros(6)
+    # A table of size 6 is a list of 2^18 entries (~2 MiB).  The naive scan,
+    # the one reader of the tables, must not keep one for each of many
+    # emulators it scans at that size; the supercell operation builds none.
+    zero = rule_from_wolfram(0)
+    _gk_table_list.cache_clear()
     tracemalloc.start()
     try:
         for n in range(64):
-            supercell_step(rule_from_wolfram(n), 6, u, u, u)
+            check_emulation_naive(zero, rule_from_wolfram(n), 6)
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert retained < 64 * 2**20
+    _gk_table_list.cache_clear()
+    ident = rule_from_wolfram(204)
+    witness = EmulationWitness(ident, ident, 6, Encoding(6, Word.zeros(6), Word.ones(6)))
+    assert witness.holds()
+    assert _gk_table_list.cache_info().currsize == 0
 
 
 def test_batch_kernel_matches_scalar():

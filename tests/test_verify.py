@@ -16,7 +16,7 @@ from eca_emulation import (
     verify_witness,
 )
 from eca_emulation import emulation
-from eca_emulation.supercell import _unravel_bits
+from eca_emulation.rules import _unravel_bits
 
 R = rule_from_wolfram
 

@@ -48,3 +48,5 @@ def test_rejects_bad_values():
         Word(0, -1)
     with pytest.raises(ValueError):
         Word.from_bits([0, 2])
+    with pytest.raises(ValueError):
+        Word.from_text("\uff11")  # a fullwidth 1: only ASCII 0 and 1 are cells
