@@ -30,6 +30,10 @@ from .words import Grid, Word
 
 CACHE_ENV = "ECA_EMULATION_CACHE"
 
+# verify accepts a composition of two witnesses of CLI sizes and no larger:
+# holds() and verify_witness cost ~k^2 (14 s at k = 4,000 on a 2-core VM).
+_MAX_WITNESS_K = (MAX_SUPERCELL_BITS // 3) ** 2
+
 
 def _wolfram(text: str) -> int:
     n = int(text)
@@ -153,6 +157,8 @@ def cmd_verify(args) -> int:
         except RecursionError:
             raise ValueError("witness file is nested too deeply") from None
     witness = EmulationWitness.from_json_dict(doc)
+    if witness.k > _MAX_WITNESS_K:
+        raise ValueError(f"witness size {witness.k} exceeds the verify limit {_MAX_WITNESS_K}")
     ok = verify_witness(witness, args.length, args.horizon,
                         samples=args.samples, seed=args.seed)
     print("valid" if ok else "invalid")

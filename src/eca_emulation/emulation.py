@@ -27,6 +27,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .rules import (
     _DUAL,
     _MIRROR,
     _conjugates,
+    _reads,
     _unravel_batch,
     _unravel_bits,
     rule_from_wolfram,
@@ -244,6 +246,35 @@ def _pattern_words(p: int, u: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
     return x | y << np.uint64(k) | z << np.uint64(2 * k)
 
 
+def _read_blocks(wolfram: int) -> int:
+    """The blocks the k-step supercell operation may read, as pattern bits
+    (4: x, 2: y, 1: z): x only if the rule reads its left cell, z only if
+    it reads its right cell, y if it reads its centre cell or both outer
+    cells.  It reads no other block; it may read fewer (rule 90 at k = 2
+    skips y), so the set is safe, not always tight."""
+    a, b, c = _reads(wolfram)
+    return 4 * a | 2 * (b or (a and c)) | c
+
+
+@cache
+def _pattern_classes(wolfram: int) -> tuple[np.uint16, np.uint16,
+                                            tuple[tuple[int, np.uint16], ...]]:
+    """The selection patterns grouped by their product, as masks of bits
+    1 << p: those that give diag(u) (pattern 0 among them), those that give
+    diag(v) (pattern 7 among them), and per other product, in
+    ``_MIXED_PATTERNS`` order, (q, mask) with q the pattern to evaluate.
+    Pattern p gives the product of q = p & ``_read_blocks(wolfram)``, or of
+    pattern 7 when q is all of the read set."""
+    read = _read_blocks(wolfram)
+    classes = {0: 1, 7: 1 << 7}
+    for p in _MIXED_PATTERNS:
+        q = p & read
+        q = 7 if q == read else q
+        classes[q] = classes.get(q, 0) | 1 << p
+    to_u, to_v = np.uint16(classes.pop(0)), np.uint16(classes.pop(7))
+    return to_u, to_v, tuple((q, np.uint16(bits)) for q, bits in classes.items())
+
+
 def _closed_pairs(wolfram: int, k: int, diag: np.ndarray
                   ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The pairs {u, v} (u < v) closed under the supercell operation.
@@ -263,13 +294,23 @@ def _closed_pairs(wolfram: int, k: int, diag: np.ndarray
     generated in key order by index arithmetic; the at most 2^k image pairs
     are deduplicated once and merged into the chunk their keys fall in.  An
     image pair holds a moved element, so no pair comes from both sources.
-    Each chunk of at most ``_CHUNK`` candidates then runs through the six
-    mixed patterns, which record their "hit v" bits as they filter, so no
-    pattern is evaluated twice and nothing of the size of the pair space is
-    ever built.  Chunks in which no candidate survives are not yielded.
+    Every candidate therefore maps u and v into {u, v} on the diagonal.
+
+    Each chunk of at most ``_CHUNK`` candidates then runs through the mixed
+    patterns, which record their "hit v" bits as they filter.  Patterns
+    that differ only in blocks the operation does not read give one product
+    (``_pattern_classes``), evaluated once for all of them; a product that
+    equals a constant pattern's is the diagonal map's, so it keeps every
+    candidate and costs no kernel call.  Rules that read one cell or none
+    (0, 15, 51, 85, 170, 204, 240, 255) thus make no kernel call past the
+    diagonal map, and 20 rules evaluate 2 products instead of 6.  The
+    survivors and W are those of all six patterns, and nothing of the size
+    of the pair space is ever built.  Chunks in which no candidate survives
+    are not yielded.
     """
     n = 1 << k
     sk = np.uint64(k)
+    to_u, to_v, evaluated = _pattern_classes(wolfram)
     elems = np.arange(n, dtype=np.uint64)
     moved = diag != elems
     fix = elems[~moved]
@@ -295,15 +336,15 @@ def _closed_pairs(wolfram: int, k: int, diag: np.ndarray
         taken += len(keys) - from_tri
         u = keys >> sk
         v = keys & np.uint64(n - 1)
-        w = ((diag[u.astype(np.int64)] == v).astype(np.uint16)
-             | (diag[v.astype(np.int64)] == v).astype(np.uint16) << 7)
-        for p in _MIXED_PATTERNS:
+        w = ((diag[u.astype(np.int64)] == v) * to_u
+             | (diag[v.astype(np.int64)] == v) * to_v)
+        for q, bits in evaluated:
             if not len(u):
                 break
-            r = _unravel_batch(wolfram, _pattern_words(p, u, v, k), 3 * k, k)
+            r = _unravel_batch(wolfram, _pattern_words(q, u, v, k), 3 * k, k)
             hit = r == v
             keep = hit | (r == u)
-            w |= hit.astype(np.uint16) << p
+            w |= hit * bits
             u, v, w = u[keep], v[keep], w[keep]
         if len(u):
             yield u, v, w

@@ -113,6 +113,13 @@ def _conjugates(n: int) -> dict[int, tuple[bool, bool]]:
     return out
 
 
+def _reads(n: int) -> tuple[bool, bool, bool]:
+    """Whether rule n depends on its left, centre and right cell: flipping
+    that cell changes the output of some neighborhood."""
+    return tuple(any((n >> i ^ n >> (i ^ flip)) & 1 for i in range(8))
+                 for flip in (4, 2, 1))
+
+
 def is_linear(r: EcaRule) -> bool:
     """True iff r is a XOR-combination of its inputs with r(0,0,0) = 0.
 

@@ -7,7 +7,8 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eca_emulation import cli, hierarchy
+from eca_emulation import (EmulationWitness, Encoding, Word, cli, compose_witnesses,
+                           hierarchy, rule_from_wolfram as R)
 from eca_emulation.cli import main
 
 
@@ -235,6 +236,32 @@ def test_verify_malformed_witness_exit_two(capsys, tmp_path, text):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+def test_verify_bounds_the_witness_size(capsys, tmp_path, monkeypatch):
+    # verify takes a composition of two CLI-sized witnesses (k <= 20 x 20)
+    # and refuses a larger one before checking it: holds() and
+    # verify_witness cost ~k^2, and a k = 4,000 file took 14 s
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"f": 204, "g": 204, "k": 401,
+                                "enc0": "0" * 401, "enc1": "1" * 401}))
+    monkeypatch.setattr(cli, "verify_witness", _refuse)
+    with pytest.raises(SystemExit) as err:
+        main(["verify", str(path)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    monkeypatch.undo()
+    # rule 204 moves each block into the next, so any code words witness
+    # 204 <=_20 204; composed with itself, that is a k = 400 witness
+    w20 = EmulationWitness(R(204), R(204), 20,
+                           Encoding(20, Word(0x5A5A5, 20), Word(0xF0F0F, 20)))
+    composed = compose_witnesses(w20, w20)
+    assert composed.k == 400
+    path.write_text(json.dumps(composed.to_json_dict()))
+    code, out = run(capsys, "verify", str(path))
+    assert code == 0 and out == "valid\n"
+
+
 def test_hierarchy_formats(capsys, tmp_path):
     out_csv = tmp_path / "h.csv"
     code, _ = run(capsys, "hierarchy", "--kmax", "2", "--rules", "148",
@@ -296,7 +323,7 @@ def _well_formed(d) -> bool:
         return False
     f, g, k, e0, e1 = (d[key] for key in ("f", "g", "k", "enc0", "enc1"))
     return (all(type(v) is int for v in (f, g, k)) and 0 <= f <= 255 and 0 <= g <= 255
-            and k >= 1 and all(type(e) is str and len(e) == k and set(e) <= {"0", "1"}
+            and 1 <= k <= 400 and all(type(e) is str and len(e) == k and set(e) <= {"0", "1"}
                                for e in (e0, e1))
             and e0 != e1)
 

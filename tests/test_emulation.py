@@ -27,6 +27,7 @@ from eca_emulation import (
     verify_witness,
 )
 from eca_emulation import emulation
+from eca_emulation.rules import _unravel_batch
 
 R = rule_from_wolfram
 
@@ -241,6 +242,59 @@ def test_orbit_fold_matches_direct_maps():
 def test_orbit_fold_matches_direct_maps_larger(g, k):
     targets = _orbit(g)
     assert _folded(g, k, targets) == {t: emulated_rule_map(R(t), k) for t in targets}
+
+
+def test_supercell_operation_reads_only_its_read_blocks():
+    # S(x, y, z) on every triple of supercells: the product must not move
+    # along any block outside _read_blocks, or aliasing the selection
+    # patterns that differ only there would be wrong
+    for k in range(1, 5):
+        n = 1 << k
+        words = np.arange(1 << 3 * k, dtype=np.uint64)
+        for g in range(256):
+            s = _unravel_batch(g, words, 3 * k, k).reshape(n, n, n)  # axes z, y, x
+            read = emulation._read_blocks(g)
+            for bit, axis in ((4, 2), (2, 1), (1, 0)):
+                if not read & bit:
+                    assert (s == s.take([0], axis=axis)).all(), (g, k, bit)
+
+
+def _closed_pairs_all_patterns(g, k):
+    """The closed pairs as (U, V, W), every pair u < v run through all
+    eight selection patterns in turn."""
+    u, v = (a.astype(np.uint64) for a in np.triu_indices(1 << k, 1))
+    w = np.zeros(len(u), dtype=np.uint16)
+    for p in range(8):
+        r = _unravel_batch(g, emulation._pattern_words(p, u, v, k), 3 * k, k)
+        hit = r == v
+        keep = hit | (r == u)
+        w |= hit.astype(np.uint16) << p
+        u, v, w = u[keep], v[keep], w[keep]
+    return u, v, w
+
+
+def test_closed_pairs_match_evaluating_every_pattern():
+    for k in range(1, 8):
+        for g in range(256):
+            chunks = list(emulation._closed_pairs(g, k, emulation._diagonal_map(g, k)))
+            got = [np.concatenate(c) for c in zip(*chunks)] if chunks else [[], [], []]
+            for a, b in zip(got, _closed_pairs_all_patterns(g, k)):
+                assert np.array_equal(a, b), (g, k)
+
+
+def test_rules_reading_one_cell_make_no_kernel_call_past_the_diagonal():
+    # 8 rules evaluate no mixed pattern, 20 (reading two cells, the centre
+    # one of them) evaluate 2, the other 228 all 6
+    sizes = [len(emulation._pattern_classes(g)[2]) for g in range(256)]
+    assert [sizes.count(c) for c in (0, 2, 6)] == [8, 20, 228]
+    flat = [g for g in range(256) if not emulation._pattern_classes(g)[2]]
+    assert flat == [0, 15, 51, 85, 170, 204, 240, 255]
+    for g in flat:
+        for k in range(1, 11):
+            with mock.patch.object(emulation, "_unravel_batch",
+                                   wraps=emulation._unravel_batch) as kernel:
+                emulated_rule_map(R(g), k)
+            assert kernel.call_count == 1, (g, k)
 
 
 def test_orbit_fold_rejects_a_rule_outside_the_orbit():
