@@ -24,8 +24,8 @@ from .emulation import (
 )
 from .hierarchy import classify, compute_hierarchy, export, transitive_reduction
 from .render import render_diagram, write_pbm
-from .rules import dual, is_affine, is_linear, mirror, rule_from_wolfram
-from .supercell import MAX_SUPERCELL_BITS
+from .rules import (MAX_SUPERCELL_BITS, _check_k, dual, is_affine, is_linear, mirror,
+                    rule_from_wolfram)
 from .words import Grid, Word
 
 CACHE_ENV = "ECA_EMULATION_CACHE"
@@ -52,9 +52,10 @@ def _positive(text: str) -> int:
 def _size(text: str) -> int:
     """A supercell size the packed kernels can take, checked before any work."""
     k = _positive(text)
-    if 3 * k > MAX_SUPERCELL_BITS:
-        raise argparse.ArgumentTypeError(
-            f"supercell size {k} exceeds the packed kernel limit {MAX_SUPERCELL_BITS // 3}")
+    try:
+        _check_k(k)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return k
 
 

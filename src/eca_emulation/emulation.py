@@ -32,17 +32,18 @@ from functools import cache
 import numpy as np
 
 from .rules import (
-    MAX_SUPERCELL_BITS,
     EcaRule,
     _DUAL,
     _MIRROR,
+    _check_k,
     _conjugates,
+    _gk_table_list,
     _reads,
     _unravel_batch,
     _unravel_bits,
     rule_from_wolfram,
+    supercell_step,
 )
-from .supercell import _gk_table_list, supercell_step
 from .words import Word
 
 # Chunk size for the batched scans; results never depend on it.  At 2^14
@@ -57,13 +58,6 @@ _VERIFY_BITS = 1 << 18
 
 _DUAL_ARR = np.array(_DUAL, dtype=np.uint16)
 _MIRROR_ARR = np.array(_MIRROR, dtype=np.uint16)
-
-
-def _check_k(k: int) -> None:
-    if k < 1:
-        raise ValueError(f"supercell size {k} < 1")
-    if 3 * k > MAX_SUPERCELL_BITS:
-        raise ValueError(f"supercell size {k} exceeds the packed kernel limit")
 
 
 @dataclass(frozen=True)
@@ -167,7 +161,7 @@ class EmulationWitness:
 # Naive decision procedure: scan all encodings for one fixed candidate f.
 
 # The naive scan reads a full table of the supercell operation up to this
-# size (a 2^(3k)-entry list from supercell._gk_table_list) and runs the
+# size (a 2^(3k)-entry list from rules._gk_table_list) and runs the
 # batch kernel over the encoding pairs above it.
 _TABLE_MAX_K = 6
 
@@ -548,16 +542,13 @@ class Subalgebra:
     def is_proper(self) -> bool:
         return len(self.elements) < 1 << self.k
 
-    def op(self, u: Word, v: Word, x: Word) -> Word:
-        """The induced ternary operation (agrees with supercell_step)."""
-        return supercell_step(self.rule, self.k, u, v, x)
-
     def induced_table(self) -> dict[tuple[Word, Word, Word], Word]:
         """Materialized operation table; only for small element sets."""
         if len(self.elements) ** 3 > 1 << 15:
             raise ValueError(f"refusing to materialize {len(self.elements)}^3 entries")
         elems = sorted(self.elements, key=lambda w: w.bits)
-        return {(u, v, x): self.op(u, v, x) for u in elems for v in elems for x in elems}
+        return {(u, v, x): supercell_step(self.rule, self.k, u, v, x)
+                for u in elems for v in elems for x in elems}
 
     def is_closed(self) -> bool:
         """Re-check the closure property (trivial for the full algebra)."""

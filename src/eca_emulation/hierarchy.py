@@ -133,7 +133,9 @@ def _shard_path(cache_dir: str, g: int, k: int) -> str:
 def _load_shard(cache_dir: str, g: int, k: int) -> list[tuple[int, int, int]] | None:
     """The cell's entries, or None (a cache miss) unless the shard parses and
     has the shape _store_shard writes: entries [f, enc0, enc1] with f a
-    Wolfram number and two distinct k-cell codes."""
+    Wolfram number and two distinct k-cell codes, f strictly increasing, and
+    the set of f closed under duality (swapping enc0 and enc1 turns a
+    witness of f into one of dual(f))."""
     path = _shard_path(cache_dir, g, k)
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -149,6 +151,10 @@ def _load_shard(cache_dir: str, g: int, k: int) -> list[tuple[int, int, int]] | 
             and 0 <= e[0] <= 255 and 0 <= e[1] < 1 << k and 0 <= e[2] < 1 << k
             and e[1] != e[2]
             for e in entries):
+        return None
+    fs = [e[0] for e in entries]
+    seen = set(fs)
+    if fs != sorted(seen) or seen != {_DUAL[f] for f in seen}:
         return None
     return [tuple(entry) for entry in entries]
 

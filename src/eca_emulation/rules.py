@@ -5,6 +5,10 @@ bit.  Rules are identified by their Wolfram number: bit ``i`` of the number
 is the output for the neighborhood whose index is ``i = 4*b1 + 2*b2 + b3``.
 That index convention is used everywhere in this package.
 
+Unravelling applies a rule to every 3-cell window of an open word.  Done
+k times to 3k cells it leaves k: ``supercell_step``, the rule's ternary
+operation on k-cell Words ("supercells").
+
 Rules are evaluated on packed words.  Each rule has its own minimal
 Boolean chain over the word and its shifts by one and two cells: no
 operations for rules 0, 240 and 255, one for rules 15, 170 and 204, at
@@ -21,7 +25,7 @@ this is the package's hot path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 
 import numpy as np
 
@@ -29,6 +33,15 @@ from .words import Grid, Word
 
 # The array kernels keep a packed word of 3k cells in one uint64 lane.
 MAX_SUPERCELL_BITS = 62
+
+
+def _check_k(k: int) -> None:
+    """Reject a supercell size the packed array kernels cannot take."""
+    if k < 1:
+        raise ValueError(f"supercell size {k} < 1")
+    if 3 * k > MAX_SUPERCELL_BITS:
+        raise ValueError(
+            f"supercell size {k} exceeds the packed kernel limit {MAX_SUPERCELL_BITS // 3}")
 
 
 @dataclass(frozen=True)
@@ -257,6 +270,51 @@ def _unravel_batch(wolfram: int, words: np.ndarray, m: int, steps: int) -> np.nd
     return _unravel_bits(wolfram, words, m, steps)
 
 
+def unravel(r: EcaRule, w: Word) -> Word:
+    """Apply the rule to every 3-cell window: out[i] = f(w[i], w[i+1], w[i+2]).
+
+    The output is two cells shorter than the input.
+    """
+    return unravel_iter(r, w, 1)
+
+
+def unravel_iter(r: EcaRule, w: Word, t: int) -> Word:
+    """t-fold unravelling; the input must have at least 2t+1 cells."""
+    if t < 0:
+        raise ValueError(f"negative step count {t}")
+    m = len(w)
+    if m < 2 * t + 1:
+        raise ValueError(f"word of {m} cells too short for {t} unravelling steps")
+    return Word(_unravel_bits(r.wolfram, w.bits, m, t), m - 2 * t)
+
+
+def supercell_step(r: EcaRule, k: int, u: Word, v: Word, x: Word) -> Word:
+    """The ternary supercell operation: k-fold unravelling of u.v.x.
+
+    This is the algebra operation of the derived automaton on k-bit blocks;
+    at k=1 it coincides with the local rule itself.  Any k >= 1 is taken:
+    composed witnesses exceed the array kernels' limit.
+    """
+    if k < 1:
+        raise ValueError(f"supercell size {k} < 1")
+    for name, word in (("u", u), ("v", v), ("x", x)):
+        if len(word) != k:
+            raise ValueError(f"supercell {name} has {len(word)} cells, expected {k}")
+    bits = u.bits | v.bits << k | x.bits << (2 * k)
+    return Word(_unravel_bits(r.wolfram, bits, 3 * k, k), k)
+
+
+@lru_cache(maxsize=16)
+def _gk_table_list(wolfram: int, k: int) -> list[int]:
+    """Full table of the size-k supercell operation, indexed by the packed
+    3k-bit concatenation, for the scalar naive scan.  A plain list:
+    single-element indexing is ~4x faster than on an ndarray.  At k = 6 a
+    table holds 2^18 entries, 2 MiB, so the 16 cached tables stay under
+    ~32 MiB."""
+    inputs = np.arange(1 << (3 * k), dtype=np.uint64)
+    return _unravel_batch(wolfram, inputs, 3 * k, k).tolist()
+
+
 def _step_bits_cyclic(wolfram: int, bits: int, n: int) -> int:
     """One synchronous update of a cyclic configuration, packed: one
     unravelling step of the n + 2-cell word c[n-1], c[0..n-1], c[0]."""
@@ -268,7 +326,7 @@ def global_step(r: EcaRule, g: Grid) -> Grid:
     """Apply the global rule F(c)_i = f(c_{i-1}, c_i, c_{i+1}) once.
 
     Defined on grids of length >= 3; neighbor indices are taken modulo the
-    grid size.  Open words shrink instead: see supercell.unravel.
+    grid size.  Open words shrink instead: see ``unravel``.
     """
     n = len(g)
     if n < 3:

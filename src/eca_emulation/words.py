@@ -84,7 +84,7 @@ class Grid:
 
     The cells wrap around (indices modulo the length), so a grid keeps its
     length under stepping.  Open words, which lose one cell per side per
-    step, are plain Words: see supercell.unravel.
+    step, are plain Words: see rules.unravel.
     """
 
     cells: Word

@@ -429,7 +429,7 @@ def test_closures_are_closed():
         for a in elems[:4]:
             for b in elems[:4]:
                 for c in elems[:4]:
-                    assert s.op(a, b, c) in s.elements
+                    assert supercell_step(g, k, a, b, c) in s.elements
 
 
 def test_induced_table_agrees_with_supercell_step():

@@ -142,6 +142,10 @@ def test_cache_ignores_foreign_schema(tmp_path):
     '{"schema": 1, "rule": 0, "k": 1, "emulated": [[300, 0, 1]]}',  # no Wolfram number
     '{"schema": 1, "rule": 0, "k": 1, "emulated": [[0, 5, 1]]}',    # no 1-cell code
     '{"schema": 1, "rule": 0, "k": 1, "emulated": [[0, 1, 1]]}',    # not one-to-one
+    '{"schema": 1, "rule": 0, "k": 1, "emulated": [[7, 0, 1]]}',    # dual 31 missing
+    # f repeated, and out of order, each in a set closed under duality
+    '{"schema": 1, "rule": 0, "k": 1, "emulated": [[0, 0, 1], [0, 1, 0], [255, 1, 0]]}',
+    '{"schema": 1, "rule": 0, "k": 1, "emulated": [[255, 1, 0], [0, 0, 1]]}',
     pytest.param("[" * 100_000, id="nested-past-the-recursion-limit"),
 ])
 def test_cache_misshapen_shard_is_a_miss(tmp_path, text):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import eca_emulation
 from eca_emulation import (
     EcaRule,
     Grid,
@@ -179,3 +180,11 @@ def test_linear_rules_respect_superposition():
             fy = global_step(r, Grid(Word(y, length))).cells.bits
             fxy = global_step(r, Grid(Word(x ^ y, length))).cells.bits
             assert fxy == fx ^ fy
+
+
+def test_every_public_name_resolves():
+    # `from eca_emulation import *` fails on a name __all__ lists that the
+    # package does not define.
+    missing = [name for name in eca_emulation.__all__ if not hasattr(eca_emulation, name)]
+    assert missing == []
+    assert len(set(eca_emulation.__all__)) == len(eca_emulation.__all__)
