@@ -9,6 +9,7 @@ Identical arguments and seed produce byte-identical outputs regardless of
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -34,6 +35,13 @@ CACHE_ENV = "ECA_EMULATION_CACHE"
 # holds() and verify_witness cost ~k^2 (14 s at k = 4,000 on a 2-core VM).
 _MAX_WITNESS_K = (MAX_SUPERCELL_BITS // 3) ** 2
 
+# Upper bounds on the options that size memory or processes.  A diagram of
+# 2^24 cells is 32 MiB of P1 text; a verify sample of 100,000 cells is 5 MB
+# per copy of its encoding at the verify limit k = 400.
+_MAX_WORKERS = 64
+_MAX_DIAGRAM_CELLS = 1 << 24
+_MAX_VERIFY_LENGTH = 100_000
+
 
 def _wolfram(text: str) -> int:
     n = int(text)
@@ -47,6 +55,17 @@ def _positive(text: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"{n} is not a positive integer")
     return n
+
+
+def _at_most(parse, limit: int):
+    """The argparse type ``parse`` that also refuses values above ``limit``."""
+    @functools.wraps(parse)
+    def bounded(text: str) -> int:
+        n = parse(text)
+        if n > limit:
+            raise argparse.ArgumentTypeError(f"{n} exceeds the limit {limit}")
+        return n
+    return bounded
 
 
 def _size(text: str) -> int:
@@ -89,6 +108,9 @@ def cmd_rule_info(args) -> int:
 
 def cmd_simulate(args) -> int:
     r = rule_from_wolfram(args.rule)
+    width = args.width if args.init is None else len(args.init)
+    if width * (args.steps + 1) > _MAX_DIAGRAM_CELLS:
+        raise ValueError(f"{width} x {args.steps + 1} diagram cells exceed {_MAX_DIAGRAM_CELLS}")
     if args.init is not None:
         cells = Word.from_text(args.init)
     else:
@@ -198,8 +220,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="space-time diagram as PBM")
     p_sim.add_argument("--rule", type=_wolfram, required=True)
-    p_sim.add_argument("--width", type=int, default=64)
-    p_sim.add_argument("--steps", type=int, default=64)
+    p_sim.add_argument("--width", type=int, default=64,
+                       help=f"cells per row without --init (default 64); "
+                            f"width x (steps + 1) <= {_MAX_DIAGRAM_CELLS}")
+    p_sim.add_argument("--steps", type=int, default=64, help="time steps (default 64)")
     p_sim.add_argument("--init", help="initial cells as a 0/1 string (cell 0 first)")
     p_sim.add_argument("--seed", type=int, default=0, help="seed for a random start")
     p_sim.add_argument("--binary", action="store_true", help="raw P4 instead of plain P1")
@@ -224,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"largest supercell size, at most {MAX_SUPERCELL_BITS // 3}")
     sweep.add_argument("--rules", type=_wolfram, nargs="+",
                        help="restrict the emulators (default: all 136 representatives)")
-    sweep.add_argument("--workers", type=_positive, default=1,
-                       help="worker processes (default: 1)")
+    sweep.add_argument("--workers", type=_at_most(_positive, _MAX_WORKERS), default=1,
+                       help=f"worker processes, at most {_MAX_WORKERS} (default: 1)")
     sweep.add_argument("--cache-dir", help=f"shard cache (default: ${CACHE_ENV})")
     sweep.add_argument("--output", "-o", help="write here instead of stdout")
 
@@ -249,7 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_v = sub.add_parser("verify", help="re-verify a witness file")
     p_v.add_argument("witness", help="JSON file with f, g, k, enc0, enc1")
-    p_v.add_argument("--length", type=int, default=30)
+    p_v.add_argument("--length", type=_at_most(int, _MAX_VERIFY_LENGTH), default=30,
+                     help=f"cells per sample word, at most {_MAX_VERIFY_LENGTH} (default 30)")
     p_v.add_argument("--horizon", type=int, default=5)
     p_v.add_argument("--samples", type=int, default=100)
     p_v.add_argument("--seed", type=int, default=0)

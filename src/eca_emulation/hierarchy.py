@@ -214,6 +214,7 @@ def compute_hierarchy(K: int, reps: list[int] | None = None, workers: int = 1,
         # interrupted sweep keeps the cells it finished.
         if cache_dir is not None:
             os.makedirs(cache_dir, exist_ok=True)
+        workers = min(workers, len(tasks))  # a pool starts all its processes at once
         pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
         try:
             results = (map(_compute_orbit, tasks) if pool is None

@@ -8,11 +8,12 @@ large images.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .emulation import EmulationWitness, decode_config, encode_config
 from .rules import EcaRule, trajectory
-from .words import Grid, Word
+from .words import _BITREV, Grid, Word
 
 
 @dataclass(frozen=True)
@@ -68,57 +69,38 @@ def render_emulated(w: EmulationWitness, u: Word, steps: int) -> tuple[Diagram, 
 
 def write_pbm(d: Diagram, binary: bool = False) -> bytes:
     """Serialize a diagram as PBM: plain P1, or raw P4 when ``binary``."""
+    header = f"P{4 if binary else 1}\n{d.width} {d.height}\n".encode("ascii")
     if binary:
-        out = bytearray(f"P4\n{d.width} {d.height}\n".encode("ascii"))
-        row_bytes = (d.width + 7) // 8
-        for row in d.rows:
-            packed = bytearray(row_bytes)
-            for x in range(d.width):
-                if row[x]:
-                    packed[x // 8] |= 0x80 >> (x % 8)
-            out += packed
-        return bytes(out)
-    lines = [f"P1\n{d.width} {d.height}\n"]
-    for row in d.rows:
-        lines.append(" ".join(str(b) for b in row) + "\n")
-    return "".join(lines).encode("ascii")
+        size = (d.width + 7) // 8
+        return header + b"".join(
+            row.bits.to_bytes(size, "little") for row in d.rows).translate(_BITREV)
+    return header + "".join(" ".join(row.text) + "\n" for row in d.rows).encode("ascii")
+
+
+# Magic number, width and height, separated by whitespace and comments, and
+# the one whitespace character that ends the header.  A comment ends with its
+# newline, so a run of '#' parses one way only and a failed match is linear.
+_HEADER = re.compile(rb"P([14])(?:\s|#[^\n]*\n)+(\d+)(?:\s|#[^\n]*\n)+(\d+)\s")
 
 
 def read_pbm(data: bytes) -> Diagram:
-    """Parse P1 or P4 bytes produced by write_pbm (comments tolerated)."""
-    if data[:2] == b"P4":
-        pos = 2
-        fields = []
-        while len(fields) < 2:
-            # header tokens separated by whitespace; '#' starts a comment
-            while pos < len(data) and data[pos:pos + 1].isspace():
-                pos += 1
-            if data[pos:pos + 1] == b"#":
-                while pos < len(data) and data[pos] != 0x0A:
-                    pos += 1
-                continue
-            start = pos
-            while pos < len(data) and not data[pos:pos + 1].isspace():
-                pos += 1
-            fields.append(int(data[start:pos]))
-        pos += 1  # single whitespace byte after the header
-        width, height = fields
-        row_bytes = (width + 7) // 8
-        rows = []
-        for y in range(height):
-            chunk = data[pos + y * row_bytes: pos + (y + 1) * row_bytes]
-            rows.append(Word.from_bits(
-                (chunk[x // 8] >> (7 - x % 8)) & 1 for x in range(width)))
-        return Diagram(tuple(rows))
-    if data[:2] != b"P1":
+    """Parse P1 or P4 bytes; comments and unspaced P1 rasters are accepted."""
+    m = _HEADER.match(data)
+    if m is None:
         raise ValueError("not a PBM stream")
-    tokens = []
-    for line in data[2:].split(b"\n"):
-        body = line.split(b"#", 1)[0]
-        tokens.extend(body.split())
-    width, height = int(tokens[0]), int(tokens[1])
-    cells = [int(t) for t in tokens[2:]]
-    if len(cells) != width * height:
-        raise ValueError(f"expected {width * height} cells, found {len(cells)}")
+    width, height = int(m[2]), int(m[3])
+    if m[1] == b"4":
+        size = (width + 7) // 8
+        raster = data[m.end():m.end() + size * height].translate(_BITREV)
+        if len(raster) < size * height:
+            raise ValueError(f"expected {size * height} raster bytes, found {len(raster)}")
+        # with no rows, nothing checks the width against the raster's length
+        mask = (1 << width) - 1 if height else 0
+        return Diagram(tuple(
+            Word(int.from_bytes(raster[y * size:(y + 1) * size], "little") & mask, width)
+            for y in range(height)))
+    text = re.sub(rb"#[^\n]*|\s", b"", data[m.end():]).decode("ascii")
+    if len(text) != width * height:
+        raise ValueError(f"expected {width * height} cells, found {len(text)}")
     return Diagram(tuple(
-        Word.from_bits(cells[y * width:(y + 1) * width]) for y in range(height)))
+        Word.from_text(text[y * width:(y + 1) * width]) for y in range(height)))

@@ -25,11 +25,11 @@ this is the package's hot path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache, reduce
+from functools import cache, lru_cache
 
 import numpy as np
 
-from .words import Grid, Word
+from .words import _BITREV, Grid, Word
 
 # The array kernels keep a packed word of 3k cells in one uint64 lane.
 MAX_SUPERCELL_BITS = 62
@@ -84,24 +84,14 @@ def apply_local(r: EcaRule, b1: int, b2: int, b3: int) -> int:
     return (r.wolfram >> (4 * b1 + 2 * b2 + b3)) & 1
 
 
-def _bitrev8(n: int) -> int:
-    return int(f"{n:08b}"[::-1], 2)
-
-
 # dual(n): swap the roles of the 0 and 1 states on inputs and output.
 # Closed form: complementing all three inputs reverses the neighborhood
 # index (i -> 7-i), complementing the output flips each bit.
-_DUAL = tuple(255 - _bitrev8(n) for n in range(256))
+_DUAL = tuple(255 - b for b in _BITREV)
 
 # mirror(n): swap the left and right neighbors, i.e. index 4a+2b+c -> 4c+2b+a.
-_MIRROR = tuple(
-    reduce(
-        int.__or__,
-        (((n >> (4 * c + 2 * b + a)) & 1) << (4 * a + 2 * b + c)
-         for a in (0, 1) for b in (0, 1) for c in (0, 1)),
-    )
-    for n in range(256)
-)
+# Indices 0, 2, 5 and 7 stay; 1 and 3 trade places with 4 and 6.
+_MIRROR = tuple(n & 0xA5 | (n & 0x0A) << 3 | (n & 0x50) >> 3 for n in range(256))
 
 
 def dual(r: EcaRule) -> EcaRule:

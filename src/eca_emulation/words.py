@@ -13,6 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+# _BITREV[b] is byte b with its bit order reversed.  It turns the
+# little-endian bytes of a word's bits into PBM's raw raster, whose bytes
+# hold the first cell in the top bit, and it gives a rule's dual.
+_BITREV = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
 
 @dataclass(frozen=True)
 class Word:
@@ -29,14 +34,8 @@ class Word:
 
     @classmethod
     def from_bits(cls, cells: Iterable[int]) -> "Word":
-        bits = 0
-        n = 0
-        for c in cells:
-            if c not in (0, 1):
-                raise ValueError(f"cell value {c!r} is not a bit")
-            bits |= c << n
-            n += 1
-        return cls(bits, n)
+        """Pack cells given as the ints 0 and 1, cell 0 first."""
+        return cls.from_text("".join(map(str, cells)))
 
     @classmethod
     def from_text(cls, text: str) -> "Word":
@@ -55,7 +54,8 @@ class Word:
 
     @property
     def text(self) -> str:
-        return "".join(str(self[i]) for i in range(self.length))
+        # the binary numeral of bits, backwards; an empty word's numeral is "0"
+        return f"{self.bits:0{self.length}b}"[::-1][:self.length]
 
     def __len__(self) -> int:
         return self.length

@@ -7,8 +7,8 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from eca_emulation import (EmulationWitness, Encoding, Word, cli, compose_witnesses,
-                           hierarchy, rule_from_wolfram as R)
+from eca_emulation import (Diagram, EmulationWitness, Encoding, Word, cli,
+                           compose_witnesses, hierarchy, rule_from_wolfram as R)
 from eca_emulation.cli import main
 
 
@@ -259,6 +259,52 @@ def test_verify_bounds_the_witness_size(capsys, tmp_path, monkeypatch):
     assert composed.k == 400
     path.write_text(json.dumps(composed.to_json_dict()))
     code, out = run(capsys, "verify", str(path))
+    assert code == 0 and out == "valid\n"
+
+
+def _refused_before_work(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        captured.err.splitlines()[-1]]
+
+
+@pytest.mark.parametrize("command", ["hierarchy", "classify"])
+def test_workers_are_bounded(capsys, monkeypatch, command):
+    # a pool starts all its processes at once, so --workers 65 would fork 65
+    monkeypatch.setattr(hierarchy, "ProcessPoolExecutor", _refuse)
+    _refused_before_work(capsys, [command, "--kmax", "2", "--workers", "65"])
+
+
+def test_simulate_bounds_the_diagram(capsys, monkeypatch):
+    # 65,281 x 257 is 2^24 + 1 cells, counted with the initial row
+    monkeypatch.setattr(cli, "render_diagram", _refuse)
+    _refused_before_work(capsys, ["simulate", "--rule", "30", "--width", "65281",
+                                  "--steps", "256"])
+    _refused_before_work(capsys, ["simulate", "--rule", "30", "--init", "01" * 32640 + "1",
+                                  "--steps", "256", "--width", "1"])
+    # 2^24 cells pass the check; the stand-in keeps the test from drawing them
+    sizes = []
+
+    def one_cell(r, g, steps):
+        sizes.append((len(g), steps))
+        return Diagram((Word.zeros(1),))
+
+    monkeypatch.setattr(cli, "render_diagram", one_cell)
+    code, out = run(capsys, "simulate", "--rule", "30", "--width", "65536", "--steps", "255")
+    assert code == 0 and sizes == [(65536, 255)] and out == "P1\n1 1\n0\n"
+
+
+def test_verify_bounds_the_sample_length(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"f": 184, "g": 148, "k": 2, "enc0": "00", "enc1": "10"}))
+    monkeypatch.setattr(cli, "verify_witness", _refuse)
+    _refused_before_work(capsys, ["verify", str(path), "--length", "100001"])
+    monkeypatch.undo()
+    code, out = run(capsys, "verify", str(path), "--length", "100000", "--samples", "2")
     assert code == 0 and out == "valid\n"
 
 

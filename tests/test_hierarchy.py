@@ -113,6 +113,33 @@ def test_compute_rejects_bad_arguments():
         compute_hierarchy(2, workers=0)
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, never forks."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+    def shutdown(self):
+        pass
+
+
+def test_workers_never_outnumber_the_tasks(monkeypatch):
+    monkeypatch.setattr(hierarchy, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    serial = compute_hierarchy(2, reps=[204])
+    # K = 1 on one orbit is one task: it runs in-process
+    compute_hierarchy(1, reps=[204], workers=8)
+    assert _RecordingPool.sizes == []
+    # two sizes are two tasks: two processes, not eight
+    assert compute_hierarchy(2, reps=[204], workers=8) == serial
+    assert _RecordingPool.sizes == [2]
+
+
 def test_cache_shards_roundtrip(tmp_path, graph_k2):
     cache = str(tmp_path / "cache")
     first = compute_hierarchy(2, cache_dir=cache)

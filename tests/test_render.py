@@ -95,9 +95,9 @@ def test_write_pbm_examples():
 
 
 def test_pbm_roundtrips():
+    # width 0 and whole bytes (no P4 padding) besides random widths
     rng = random.Random(2)
-    for _ in range(20):
-        width = rng.randrange(1, 40)
+    for width in [0, 8, 16, 64] + [rng.randrange(1, 40) for _ in range(20)]:
         height = rng.randrange(1, 12)
         rows = tuple(Word(rng.getrandbits(width), width) for _ in range(height))
         d = Diagram(rows)
@@ -108,3 +108,21 @@ def test_pbm_roundtrips():
 def test_read_pbm_rejects_other_magic():
     with pytest.raises(ValueError):
         read_pbm(b"P5\n1 1\n255\n")
+
+
+def test_read_pbm_rejects_a_short_p4_raster():
+    # two rows of 9 cells take 2 bytes each; one byte is not enough
+    with pytest.raises(ValueError):
+        read_pbm(b"P4\n9 2\n\x00")
+    # no rows: a width of 10^11 cells must not be allocated as a mask
+    with pytest.raises(ValueError):
+        read_pbm(b"P4\n99999999999 0\n")
+
+
+def test_read_pbm_takes_comments_and_an_unspaced_p1_raster():
+    assert read_pbm(b"P1\n# c\n3 # w\n1\n101\n").rows == (Word.from_text("101"),)
+    assert read_pbm(b"P1 2 2 10\n0 1 # row two\n").rows == (
+        Word.from_text("10"), Word.from_text("01"))
+    # a header comment runs to its newline, so a run of '#' fails at once
+    with pytest.raises(ValueError):
+        read_pbm(b"P1 " + b"#" * 10_000)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eca_emulation import Word
 
@@ -50,3 +51,10 @@ def test_rejects_bad_values():
         Word.from_bits([0, 2])
     with pytest.raises(ValueError):
         Word.from_text("\uff11")  # a fullwidth 1: only ASCII 0 and 1 are cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 200).flatmap(
+    lambda n: st.builds(Word, st.integers(0, (1 << n) - 1), st.just(n))))
+def test_text_is_the_cells_in_order(w):
+    assert w.text == "".join(str(w[i]) for i in range(len(w)))
