@@ -551,45 +551,33 @@ class Subalgebra:
                 for u in elems for v in elems for x in elems}
 
     def is_closed(self) -> bool:
-        """Re-check the closure property (trivial for the full algebra)."""
-        if not self.is_proper:
-            return True
+        """Re-check the closure property: closing the elements under a cap of
+        their own count adds nothing (the full algebra passes unchanged)."""
         elems = sorted(w.bits for w in self.elements)
-        # closed exactly when closing the set adds nothing
         return _close(self.rule.wolfram, self.k, elems, len(elems)) is not None
 
 
-def _close(wolfram: int, k: int, seeds: list[int], cap: int | None,
+def _close(wolfram: int, k: int, seeds: list[int], cap: int,
            full_generators: np.ndarray | None = None) -> list[int] | None:
-    """Closure of the seed set under the supercell operation.
+    """Closure of the seed set under the supercell operation, or None once
+    it holds more than ``cap`` elements.
 
     Incremental: each round evaluates only the triples touching elements
-    added in the previous round, in chunks, aborting as soon as the element
-    count exceeds ``cap`` (None = unbounded).  Reaching all 2^k supercells
-    short-circuits: the full set is always closed.  ``full_generators`` may
-    mark elements already known to generate the full algebra; absorbing one
-    makes this closure full too, so it is resolved without further work.
+    added in the previous round, in chunks, and stops as soon as the
+    element count exceeds ``cap`` or reaches 2^k (the full set is always
+    closed).  ``full_generators`` may mark elements already known to
+    generate the full algebra; absorbing one makes this closure full too,
+    so it returns None at once; pass marks only with ``cap`` < 2^k.
     """
     n = 1 << k
+    marked = np.zeros(n, dtype=bool) if full_generators is None else full_generators
     member = np.zeros(n, dtype=bool)
-    elems: list[int] = []
-
-    def full_result() -> list[int] | None:
-        return None if cap is not None and cap < n else list(range(n))
-
-    for s in seeds:
-        if not member[s]:
-            member[s] = True
-            elems.append(s)
-            if full_generators is not None and full_generators[s]:
-                return full_result()
-    if cap is not None and len(elems) > cap:
+    elems = list(dict.fromkeys(seeds))
+    member[elems] = True
+    if len(elems) > cap or marked[elems].any():
         return None
-
     new_from = 0
-    while new_from < len(elems):
-        if len(elems) == n:
-            return list(range(n))
+    while new_from < len(elems) < n:
         old = np.array(elems[:new_from], dtype=np.uint64)
         new = np.array(elems[new_from:], dtype=np.uint64)
         cur = np.array(elems, dtype=np.uint64)
@@ -611,14 +599,12 @@ def _close(wolfram: int, k: int, seeds: list[int], cap: int | None,
                 r = _unravel_batch(wolfram, w, 3 * k, k).astype(np.int64)
                 fresh = np.unique(r[~member[r]])
                 if len(fresh):
-                    if full_generators is not None and full_generators[fresh].any():
-                        return full_result()
                     member[fresh] = True
                     elems.extend(fresh.tolist())
-                    if cap is not None and len(elems) > cap:
+                    if len(elems) > cap or marked[fresh].any():
                         return None
-                    if len(elems) == n:
-                        return list(range(n))
+                    if len(elems) == n:  # full: the rest of the round adds nothing
+                        return elems
     return elems
 
 
@@ -631,7 +617,7 @@ def singleton_closure(g: EcaRule, k: int, u: Word) -> Subalgebra:
     _check_k(k)
     if len(u) != k:
         raise ValueError(f"supercell has {len(u)} cells, expected {k}")
-    return _as_subalgebra(g, k, _close(g.wolfram, k, [u.bits], None))
+    return _as_subalgebra(g, k, _close(g.wolfram, k, [u.bits], 1 << k))
 
 
 def pair_closure(g: EcaRule, k: int, u: Word, v: Word,
@@ -639,7 +625,8 @@ def pair_closure(g: EcaRule, k: int, u: Word, v: Word,
     """Smallest subalgebra containing {u, v}; None once it grows past ``cap``.
 
     The default cap is 2^k - 1, i.e. the closure is reported only while it
-    can still be a proper subalgebra.
+    can still be a proper subalgebra; a cap of 2^k reports the full algebra
+    too.
     """
     _check_k(k)
     for name, w in (("u", u), ("v", v)):
@@ -659,11 +646,12 @@ def proper_subalgebra_search(g: EcaRule, k: int) -> Subalgebra | None:
     Any closed pair found by the pair scan is already an answer.  Otherwise
     the singleton closures are resolved in ascending order of u: the first
     proper one with >= 2 elements is the answer, the full ones disqualify
-    their element from further pairing, and the fixed points are paired up
-    and closed under the cap 2^k - 1.  This is exhaustive: a proper
-    subalgebra S with u, v in S forces the singleton closures of u and v to
-    stay inside S, so once the singleton sweep found nothing, only pairs of
-    fixed points remain possible seeds.
+    their element from further pairing, and the fixed points are paired up.
+    Both phases close under the cap 2^k - 1, so a full closure comes back as
+    None.  This is exhaustive: a proper subalgebra S with u, v in S forces
+    the singleton closures of u and v to stay inside S, so once the
+    singleton sweep found nothing, only pairs of fixed points remain
+    possible seeds.
 
     The sweep closes few singletons.  With d the diagonal map, the
     children of u are the eight products of the pair (u, d(u)): d(u),
@@ -700,8 +688,8 @@ def proper_subalgebra_search(g: EcaRule, k: int) -> Subalgebra | None:
     for u in np.flatnonzero(moved).tolist():
         if blows_up[u]:
             continue
-        elems = _close(g.wolfram, k, [u], None, blows_up)
-        if len(elems) < n:
+        elems = _close(g.wolfram, k, [u], n - 1, blows_up)
+        if elems is not None:
             return _as_subalgebra(g, k, elems)
         blows_up[u] = True
         while True:
@@ -722,6 +710,7 @@ def is_self_similar(f: EcaRule, kmax: int) -> int | None:
     """Smallest k in 2..kmax with f <=_k f, or None if there is none."""
     if kmax < 2:
         raise ValueError(f"kmax {kmax} < 2")
+    _check_k(kmax)
     for k in range(2, kmax + 1):
         if f.wolfram in emulated_rule_map(f, k):
             return k

@@ -30,7 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .emulation import Encoding, EmulationWitness, emulated_rule_map, proper_subalgebra_search
-from .rules import _DUAL, _conjugates, rule_from_wolfram
+from .rules import _DUAL, _check_k, _conjugates, rule_from_wolfram
 from .words import Word
 
 # Bump when the computation changes in a way that invalidates cached shards.
@@ -190,8 +190,7 @@ def compute_hierarchy(K: int, reps: list[int] | None = None, workers: int = 1,
     ``cache_dir`` set, finished cells are loaded from / stored to one JSON
     shard per cell so K can be raised incrementally.
     """
-    if K < 1:
-        raise ValueError(f"K {K} < 1")
+    _check_k(K)  # the largest size, before any cell is computed or stored
     if workers < 1:
         raise ValueError(f"workers {workers} < 1")
     sources = REPS if reps is None else tuple(sorted({rep_of(r) for r in reps}))

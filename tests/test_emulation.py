@@ -490,6 +490,40 @@ def test_proper_subalgebra_search_examples():
     assert s is not None and len(s.elements) == 2
 
 
+def _closure_oracle(table, seeds):
+    """Brute-force fixpoint of the seed set over a full operation table."""
+    members = set(seeds)
+    while True:
+        s = sorted(members)
+        grown = members | set(table[np.ix_(s, s, s)].ravel().tolist())
+        if grown == members:
+            return members
+        members = grown
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), g=st.integers(0, 255), k=st.integers(1, 4))
+def test_close_is_the_capped_closure(data, g, k):
+    # _close gives the closure, or None exactly when it holds more than cap
+    # elements; marking elements whose own closure is full changes nothing
+    n = 1 << k
+    table = _unravel_batch(g, np.arange(n ** 3, dtype=np.uint64), 3 * k, k).reshape(n, n, n)
+    seeds = data.draw(st.lists(st.integers(0, n - 1), max_size=4), label="seeds")
+    closure = _closure_oracle(table, seeds)
+    cap = data.draw(st.integers(1, n), label="cap")
+    got = emulation._close(g, k, seeds, cap)
+    assert (got is None) == (len(closure) > cap)
+    assert got is None or sorted(got) == sorted(closure)
+    full = [u for u in range(n) if len(_closure_oracle(table, [u])) == n]
+    marks = np.zeros(n, dtype=bool)
+    marks[full] = data.draw(st.lists(st.booleans(), min_size=len(full), max_size=len(full)),
+                            label="marks")
+    cap = data.draw(st.integers(1, n - 1), label="cap below 2^k")
+    got = emulation._close(g, k, seeds, cap, marks)
+    assert (got is None) == (len(closure) > cap)
+    assert got is None or sorted(got) == sorted(closure)
+
+
 def search_per_element(g, k):
     """proper_subalgebra_search with a singleton sweep that closes every
     supercell in turn; the reference for the batched sweep."""
@@ -500,7 +534,7 @@ def search_per_element(g, k):
     fixed = []
     blows_up = np.zeros(n, dtype=bool)
     for u in range(n):
-        elems = emulation._close(g.wolfram, k, [u], None, blows_up)
+        elems = emulation._close(g.wolfram, k, [u], n - 1, blows_up)
         if elems is None or len(elems) == n:
             blows_up[u] = True
         elif len(elems) >= 2:
@@ -577,3 +611,13 @@ def test_self_similarity():
     assert is_self_similar(R(30), 6) is None
     with pytest.raises(ValueError):
         is_self_similar(R(30), 1)
+
+
+def test_self_similarity_checks_the_largest_size_first(monkeypatch):
+    # a kmax past the packed kernel limit used to enumerate k = 2..20 first
+    def refuse(*args):
+        raise AssertionError("enumeration started before kmax was checked")
+
+    monkeypatch.setattr(emulation, "emulated_rule_map", refuse)
+    with pytest.raises(ValueError, match="exceeds the packed kernel limit"):
+        is_self_similar(R(30), 21)

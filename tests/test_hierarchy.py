@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +19,7 @@ from eca_emulation import (
     transitive_reduction,
     verify_witness,
 )
-from eca_emulation import hierarchy
+from eca_emulation import cli, hierarchy
 from eca_emulation.hierarchy import (
     HierarchyEdge,
     HierarchyGraph,
@@ -113,6 +117,19 @@ def test_compute_rejects_bad_arguments():
         compute_hierarchy(2, workers=0)
 
 
+def test_compute_checks_the_largest_size_first(tmp_path, monkeypatch):
+    # K past the packed kernel limit used to compute and store sizes 1..20
+    # before it raised
+    def refuse(*args):
+        raise AssertionError("work started before K was checked")
+
+    monkeypatch.setattr(hierarchy, "_compute_orbit", refuse)
+    cache = tmp_path / "cache"
+    with pytest.raises(ValueError, match="exceeds the packed kernel limit"):
+        compute_hierarchy(21, reps=[0], cache_dir=str(cache))
+    assert not cache.exists()
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records its size, never forks."""
 
@@ -149,6 +166,34 @@ def test_cache_shards_roundtrip(tmp_path, graph_k2):
     # second run is served from the shards and must agree byte for byte
     second = compute_hierarchy(2, cache_dir=cache)
     assert export(second, "json") == export(first, "json")
+
+
+def _failing_orbit(args):
+    raise AssertionError(f"orbit task {args} computed on a full cache")
+
+
+def test_two_sweeps_share_one_cache(tmp_path, capsys, monkeypatch):
+    # Two runs started together on one empty cache write the same shards
+    # through temp files of their own: both print the uncached output, and
+    # the cache they leave serves a third run without any computation.
+    monkeypatch.delenv("ECA_EMULATION_CACHE", raising=False)
+    argv = ["hierarchy", "--kmax", "7", "--json"]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    cache = tmp_path / "cache"
+    src = str(Path(hierarchy.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cmd = [sys.executable, "-m", "eca_emulation", *argv, "--cache-dir", str(cache)]
+    runs = [subprocess.Popen(cmd, stdout=subprocess.PIPE, env=env) for _ in range(2)]
+    outs = [run.communicate(timeout=300)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    assert outs == [expected, expected]
+    assert len(list(cache.glob("rule*_k*.json"))) == 136 * 7
+    assert list(cache.glob("*.tmp")) == []
+    monkeypatch.setattr(hierarchy, "_compute_orbit", _failing_orbit)
+    assert cli.main([*argv, "--cache-dir", str(cache)]) == 0
+    assert capsys.readouterr().out.encode() == expected
 
 
 def test_cache_ignores_foreign_schema(tmp_path):
