@@ -420,12 +420,23 @@ def _export_dot(g: HierarchyGraph) -> bytes:
 
 
 def load_json(data: bytes | str) -> HierarchyGraph:
-    """Rebuild a graph from its JSON export (without raw results)."""
-    obj = json.loads(data)
-    edges = tuple(
-        HierarchyEdge(int(e["from"]), int(e["to"]), int(e["kmin"]),
-                      Word.from_text(e["enc0"]), Word.from_text(e["enc1"]))
-        for e in obj["edges"]
-    )
-    return HierarchyGraph(int(obj["K"]), tuple(obj["nodes"]), edges,
-                          tuple(obj["self_similar"]), raw=None)
+    """Rebuild a graph from its JSON export (without raw results); any other
+    shape raises ValueError.  Each edge is checked as a witness file is."""
+    try:
+        obj = json.loads(data)
+        K, nodes, self_similar, edges = (obj[key] for key in ("K", "nodes", "self_similar", "edges"))
+        if not (type(K) is int and type(nodes) is type(self_similar) is type(edges) is list
+                and all(type(n) is int and 0 <= n <= 255 for n in nodes + self_similar)):
+            raise ValueError("hierarchy needs an integer K and lists of rules and edges")
+        ws = [EmulationWitness.from_json_dict({"f": e["to"], "g": e["from"], "k": e["kmin"],
+                                               "enc0": e["enc0"], "enc1": e["enc1"]})
+              for e in edges]
+    except RecursionError:
+        raise ValueError("hierarchy document is nested too deeply") from None
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed hierarchy document: {exc!r}") from None
+    if any(w.k > K for w in ws):
+        raise ValueError(f"an edge's kmin exceeds K = {K}")
+    return HierarchyGraph(K, tuple(nodes), tuple(HierarchyEdge(
+        w.emulator.wolfram, w.emulated.wolfram, w.k, w.encoding.enc0, w.encoding.enc1)
+        for w in ws), tuple(self_similar), raw=None)

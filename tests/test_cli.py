@@ -133,6 +133,23 @@ def test_hierarchy_k8_exports_unchanged(capsys, tmp_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, fmt
 
 
+def test_hierarchy_k8_reduced_exports_unchanged(capsys, tmp_path):
+    # sha256 of `eca-emu hierarchy --kmax 8 --workers 2 --reduce` in each
+    # format; the CLI reaches transitive_reduction only through this option
+    golden = {
+        "csv": "1ea3e7d79653c6387bf23feb075d22ce399b718825e57e280823b948e939862a",
+        "json": "4dee5f647db46690ca178af5fa6ad47f9bb6abaf5f3c0d63d6d0cc86eb071a33",
+        "dot": "c9f010dcfbbbc90ed8669ee8da540390bd0bc336e9efd7e30e325a7a9394256a",
+    }
+    cache = str(tmp_path / "cache")
+    for fmt, digest in golden.items():
+        path = tmp_path / f"r.{fmt}"
+        code, _ = run(capsys, "hierarchy", "--kmax", "8", "--workers", "2", "--reduce",
+                      "--cache-dir", cache, f"--{fmt}", "-o", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, fmt
+
+
 def _cache_digest(cache):
     h = hashlib.sha256()
     for path in sorted(cache.iterdir()):

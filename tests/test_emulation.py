@@ -9,8 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 from eca_emulation import (
     EmulationWitness,
     Encoding,
+    Subalgebra,
     Word,
     check_emulation_naive,
+    closure,
     compose_witnesses,
     decode_config,
     dual,
@@ -19,10 +21,10 @@ from eca_emulation import (
     encode_config,
     is_self_similar,
     mirror,
-    pair_closure,
     proper_subalgebra_search,
+    read_pbm,
+    render_emulated,
     rule_from_wolfram,
-    singleton_closure,
     supercell_step,
     verify_witness,
 )
@@ -386,35 +388,43 @@ def test_compose_rejects_rule_mismatch():
         compose_witnesses(witness_for(110, 137, 1), witness_for(110, 137, 1))
 
 
+def test_compose_checks_the_composite(monkeypatch):
+    w = witness_for(204, 204, 1)
+    monkeypatch.setattr(EmulationWitness, "holds", lambda self: False)
+    with pytest.raises(AssertionError):
+        compose_witnesses(w, w)
+
+
 # --- closures -----------------------------------------------------------
 
 def test_singleton_closure_examples():
-    s = singleton_closure(R(204), 2, W("01"))
+    s = closure(R(204), 2, [W("01")])
     assert s.elements == frozenset({W("01")})
-    s = singleton_closure(R(0), 2, W("11"))
+    s = closure(R(0), 2, [W("11")])
     assert s.elements == frozenset({W("11"), W("00")})
-    s = singleton_closure(R(30), 1, W("0"))
+    s = closure(R(30), 1, [W("0")])
     assert s.elements == frozenset({W("0")})
 
 
 def test_pair_closure_examples():
-    s = pair_closure(R(204), 2, W("00"), W("11"))
+    s = closure(R(204), 2, [W("00"), W("11")])
     assert s.elements == frozenset({W("00"), W("11")})
     enc = check_emulation_naive(R(184), R(148), 2)
-    s = pair_closure(R(148), 2, enc.enc0, enc.enc1)
+    s = closure(R(148), 2, [enc.enc0, enc.enc1])
     assert s.elements == frozenset({enc.enc0, enc.enc1})
     assert s.is_closed() and s.is_proper
+    # every pair generates all four supercells of rule 30 at size 2
     for u in range(4):
         for v in range(u + 1, 4):
-            assert pair_closure(R(30), 2, Word(u, 2), Word(v, 2)) is None
-    with pytest.raises(ValueError):
-        pair_closure(R(30), 2, W("01"), W("01"))
+            s = closure(R(30), 2, [Word(u, 2), Word(v, 2)])
+            assert s.elements == frozenset(Word(w, 2) for w in range(4))
+            assert s.is_closed() and not s.is_proper
 
 
-def test_pair_closure_respects_cap():
-    # closure of {00, 11} under rule 30 at size 2 is the full algebra
-    assert pair_closure(R(30), 2, W("00"), W("11"), cap=4) is not None
-    assert pair_closure(R(30), 2, W("00"), W("11"), cap=3) is None
+def test_closure_reads_its_seeds_once():
+    # any iterable of seeds works, a generator included
+    s = closure(R(148), 2, (W(t) for t in ("00", "01")))
+    assert s == closure(R(148), 2, [W("00"), W("01")])
 
 
 def test_closures_are_closed():
@@ -423,7 +433,7 @@ def test_closures_are_closed():
         k = rng.randrange(1, 5)
         g = R(rng.randrange(256))
         u = Word(rng.getrandbits(k), k)
-        s = singleton_closure(g, k, u)
+        s = closure(g, k, [u])
         assert s.is_closed()
         elems = sorted(s.elements, key=lambda w: w.bits)
         for a in elems[:4]:
@@ -433,8 +443,7 @@ def test_closures_are_closed():
 
 
 def test_induced_table_agrees_with_supercell_step():
-    s = pair_closure(R(148), 2, W("00"), W("01"), cap=4) or \
-        singleton_closure(R(148), 2, W("00"))
+    s = closure(R(148), 2, [W("00"), W("01")])
     table = s.induced_table()
     for (a, b, c), out in table.items():
         assert out == supercell_step(R(148), 2, a, b, c)
@@ -490,6 +499,24 @@ def test_proper_subalgebra_search_examples():
     assert s is not None and len(s.elements) == 2
 
 
+def test_search_has_no_answer_at_size_one():
+    # the only pair of 1-cell supercells is the whole algebra
+    for g in range(256):
+        assert proper_subalgebra_search(R(g), 1) is None, g
+
+
+def test_search_answers_from_the_fixed_point_pairs():
+    # all four supercells of the identity are fixed points, so with the pair
+    # scan silenced the singleton sweep closes nothing and the first pair of
+    # fixed points is the answer
+    with mock.patch.object(emulation, "_closed_pairs", return_value=iter(())), \
+            mock.patch.object(emulation, "_close", wraps=emulation._close) as close:
+        s = proper_subalgebra_search(R(204), 2)
+    assert [c.args[2] for c in close.call_args_list] == [[0, 1]]
+    assert s.elements == frozenset({W("00"), W("10")})
+    assert s.is_proper and s.is_closed()
+
+
 def _closure_oracle(table, seeds):
     """Brute-force fixpoint of the seed set over a full operation table."""
     members = set(seeds)
@@ -528,6 +555,8 @@ def search_per_element(g, k):
     """proper_subalgebra_search with a singleton sweep that closes every
     supercell in turn; the reference for the batched sweep."""
     n = 1 << k
+    if n == 2:
+        return None
     diag = emulation._diagonal_map(g.wolfram, k)
     for U, V, _ in emulation._closed_pairs(g.wolfram, k, diag):
         return emulation._as_subalgebra(g, k, [int(U[0]), int(V[0])])
@@ -621,3 +650,19 @@ def test_self_similarity_checks_the_largest_size_first(monkeypatch):
     monkeypatch.setattr(emulation, "emulated_rule_map", refuse)
     with pytest.raises(ValueError, match="exceeds the packed kernel limit"):
         is_self_similar(R(30), 21)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: decode_config(Encoding(2, W("00"), W("11")), W("001")),
+    lambda: EmulationWitness(R(204), R(204), 2, Encoding(1, W("0"), W("1"))),
+    lambda: render_emulated(witness_for(204, 204, 1), W("01"), 1),
+    lambda: read_pbm(b"P1\n2 2\n0 1 0\n"),
+    lambda: _unravel_batch(30, np.zeros(1, dtype=np.uint64), 63, 1),
+    lambda: _unravel_batch(30, np.zeros(1, dtype=np.uint64), 4, 2),
+    lambda: Subalgebra(R(30), 6, frozenset(Word(u, 6) for u in range(64))).induced_table(),
+    lambda: closure(R(30), 2, [W("00"), W("1")]),
+], ids=["decode-length", "witness-size", "render-short", "pbm-cells",
+        "batch-width", "batch-steps", "induced-table", "closure-seed"])
+def test_malformed_arguments_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()

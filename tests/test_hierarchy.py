@@ -243,9 +243,19 @@ def test_cache_write_leaves_stale_temp_alone(tmp_path):
                                                        "rule000_k01.json.tmp"]
 
 
-def test_cache_failed_write_removes_its_temp(tmp_path):
+def test_cache_failed_write_removes_its_temp(tmp_path, monkeypatch):
     with pytest.raises(TypeError):  # a set is not JSON serializable
         _store_shard(str(tmp_path), 0, 1, [(0, 0, {1})])
+    assert list(tmp_path.iterdir()) == []
+
+    # a write that fails once its temp file exists removes that file
+    def refuse(src, dst):
+        assert os.path.exists(src)
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(hierarchy.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        _store_shard(str(tmp_path), 0, 1, [(0, 0, 1)])
     assert list(tmp_path.iterdir()) == []
 
 
@@ -405,6 +415,34 @@ def test_json_roundtrip_byte_identical(graph_k2):
     obj = json.loads(blob)
     assert set(obj) == {"K", "nodes", "self_similar", "edges"}
     assert all(set(e) == {"from", "to", "kmin", "enc0", "enc1"} for e in obj["edges"])
+
+
+_EDGE = {"from": 0, "to": 0, "kmin": 1, "enc0": "0", "enc1": "1"}
+
+
+@pytest.mark.parametrize("doc", [
+    {"K": 1, "nodes": [0], "self_similar": []},
+    [],
+    {"K": 3, "nodes": [0], "self_similar": [], "edges": [dict(_EDGE, kmin=3)]},
+    {"K": 1, "nodes": ["x"], "self_similar": [], "edges": []},
+    {"K": 1.0, "nodes": [0], "self_similar": [], "edges": [_EDGE]},
+    {"K": 1, "nodes": [0], "self_similar": [256], "edges": [_EDGE]},
+    {"K": 1, "nodes": [0], "self_similar": [], "edges": {"0": _EDGE}},
+    {"K": 1, "nodes": [0], "self_similar": [], "edges": [dict(_EDGE, to=True)]},
+    {"K": 1, "nodes": [0], "self_similar": [], "edges": [dict(_EDGE, kmin=2)]},
+    {"K": 1, "nodes": [0], "self_similar": [], "edges": [dict(_EDGE, enc1="0")]},
+    {"K": 1, "nodes": [0], "self_similar": [], "edges": [dict(_EDGE, enc1="x")]},
+    {"K": 1, "nodes": [0], "self_similar": [], "edges": [[0, 0, 1, "0", "1"]]},
+], ids=["missing-key", "list", "kmin-vs-codes", "node-text", "float-K", "rule-256",
+        "edges-dict", "bool-rule", "kmin-past-K", "equal-codes", "code-text", "edge-list"])
+def test_load_json_rejects_malformed_documents(doc):
+    with pytest.raises(ValueError):
+        load_json(json.dumps(doc))
+
+
+def test_load_json_rejects_deep_nesting():
+    with pytest.raises(ValueError, match="nested too deeply"):
+        load_json("[" * 100_000 + "]" * 100_000)
 
 
 def test_dot_export_marks_self_similar(graph_k2):

@@ -16,6 +16,7 @@ from eca_emulation import (
     trajectory,
     write_pbm,
 )
+from eca_emulation import render
 
 R = rule_from_wolfram
 
@@ -73,6 +74,14 @@ def test_render_emulated_rejects_invalid_witness():
                            Encoding(1, Word.from_text("0"), Word.from_text("1")))
     with pytest.raises(ValueError):
         render_emulated(bad, Word.from_text("0101"), 3)
+
+
+def test_render_emulated_checks_every_decoded_row(monkeypatch):
+    w = EmulationWitness(R(110), R(110), 1,
+                         Encoding(1, Word.from_text("0"), Word.from_text("1")))
+    monkeypatch.setattr(render, "decode_config", lambda e, row: Word(0, len(row)))
+    with pytest.raises(RuntimeError, match="diverged"):
+        render_emulated(w, Word.from_text("0110"), 2)
 
 
 def test_rule_110_diagram_golden():
