@@ -36,10 +36,14 @@ CACHE_ENV = "ECA_EMULATION_CACHE"
 _MAX_WITNESS_K = (MAX_SUPERCELL_BITS // 3) ** 2
 
 # Upper bounds on the options that size memory or processes.  A diagram of
-# 2^24 cells is 32 MiB of P1 text; a verify sample of 100,000 cells is 5 MB
-# per copy of its encoding at the verify limit k = 400.
+# 2^24 cells is 32 MiB of P1 text, and each of its rows costs ~200 bytes of
+# objects at any width, so the rows are bounded too: 2^16 rows peaked at
+# 115 MB of RSS (256 cells, P1) and ~50 MB (3 cells), where 5.6M rows of 3
+# cells took 1.2 GB.  A verify sample of 100,000 cells is 5 MB per copy of
+# its encoding at the verify limit k = 400.
 _MAX_WORKERS = 64
 _MAX_DIAGRAM_CELLS = 1 << 24
+_MAX_STEPS = (1 << 16) - 1
 _MAX_VERIFY_LENGTH = 100_000
 
 
@@ -223,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--width", type=int, default=64,
                        help=f"cells per row without --init (default 64); "
                             f"width x (steps + 1) <= {_MAX_DIAGRAM_CELLS}")
-    p_sim.add_argument("--steps", type=int, default=64, help="time steps (default 64)")
+    p_sim.add_argument("--steps", type=_at_most(int, _MAX_STEPS), default=64,
+                       help=f"time steps, at most {_MAX_STEPS} (default 64)")
     p_sim.add_argument("--init", help="initial cells as a 0/1 string (cell 0 first)")
     p_sim.add_argument("--seed", type=int, default=0, help="seed for a random start")
     p_sim.add_argument("--binary", action="store_true", help="raw P4 instead of plain P1")

@@ -96,16 +96,14 @@ def decode_config(e: Encoding, w: Word) -> Word:
     k = e.k
     if len(w) % k:
         raise ValueError(f"word of {len(w)} cells is not a sequence of {k}-cell blocks")
-    n = len(w) // k
-    mask = (1 << k) - 1
-    out = 0
-    for i in range(n):
-        block = (w.bits >> (k * i)) & mask
-        if block == e.enc1.bits:
-            out |= 1 << i
-        elif block != e.enc0.bits:
-            raise ValueError(f"block {i} ({Word(block, k).text}) is not a code word")
-    return Word(out, n)
+    n, flip = len(w) // k, e.enc0.bits ^ e.enc1.bits
+    j = (flip & -flip).bit_length() - 1  # the first cell where the code words differ
+    out = Word(Word.from_text(w.text[j::k]).bits ^ e.enc0[j] * ((1 << n) - 1), n)
+    bad = encode_config(e, out).bits ^ w.bits  # nonzero only in blocks that are not code words
+    if bad:
+        i = ((bad & -bad).bit_length() - 1) // k
+        raise ValueError(f"block {i} ({w.text[k * i:k * i + k]}) is not a code word")
+    return out
 
 
 @dataclass(frozen=True)
@@ -414,14 +412,8 @@ def emulated_rule_map(g: EcaRule, k: int, targets=None) -> dict:
             np.minimum.at(best, f, a << sk | b)
             np.minimum.at(best, _DUAL_ARR[f], b << sk | a)
     mask = n - 1
-    maps = {
-        t: {f: Encoding(k, Word(key >> k, k), Word(key & mask, k))
-            for f, key in enumerate(best.tolist()) if key != none}
-        for t, best, _, _ in folds
-    }
-    if targets is None:
-        return maps[g.wolfram]
-    return {(t, f): enc for t, m in maps.items() for f, enc in m.items()}
+    return {f if targets is None else (t, f): Encoding(k, Word(key >> k, k), Word(key & mask, k))
+            for t, best, _, _ in folds for f, key in enumerate(best.tolist()) if key != none}
 
 
 # ---------------------------------------------------------------------------

@@ -227,9 +227,9 @@ def compute_hierarchy(K: int, reps: list[int] | None = None, workers: int = 1,
             if pool is not None:
                 pool.shutdown()
 
-    # A closed pair reports both orientations, so the raw result of every
-    # cell is closed under duality and the class representative of each
-    # emulated rule is itself present as a key.
+    # A closed pair reports both orientations, so every cell's raw result is
+    # closed under duality and holds each emulated rule's representative.
+    # Sources ascend, so the edges come out in (emulator, emulated) order.
     edges = []
     self_similar = []
     targets: set[int] = set()
@@ -252,7 +252,6 @@ def compute_hierarchy(K: int, reps: list[int] | None = None, workers: int = 1,
             self_similar.append(g)
 
     nodes = tuple(sorted(set(sources) | targets))
-    edges.sort(key=lambda e: (e.emulator, e.emulated))
     return HierarchyGraph(K, nodes, tuple(edges), tuple(self_similar),
                           raw={key: tuple(val) for key, val in raw.items()})
 
@@ -421,7 +420,10 @@ def _export_dot(g: HierarchyGraph) -> bytes:
 
 def load_json(data: bytes | str) -> HierarchyGraph:
     """Rebuild a graph from its JSON export (without raw results); any other
-    shape raises ValueError.  Each edge is checked as a witness file is."""
+    shape raises ValueError.  K must be a supercell size, the nodes strictly
+    increasing duality representatives holding the self-similar rules and
+    both ends of every edge, no edge may repeat, and each edge's witness
+    must hold."""
     try:
         obj = json.loads(data)
         K, nodes, self_similar, edges = (obj[key] for key in ("K", "nodes", "self_similar", "edges"))
@@ -435,8 +437,22 @@ def load_json(data: bytes | str) -> HierarchyGraph:
         raise ValueError("hierarchy document is nested too deeply") from None
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed hierarchy document: {exc!r}") from None
-    if any(w.k > K for w in ws):
-        raise ValueError(f"an edge's kmin exceeds K = {K}")
+    _check_k(K)
+    known = set(nodes)
+    if nodes != sorted(known) or any(rep_of(n) != n for n in nodes):
+        raise ValueError("nodes must be strictly increasing duality representatives")
+    if not known.issuperset(self_similar):
+        raise ValueError("a self-similar rule is not a node")
+    seen = set()
+    for w in ws:
+        pair = (w.emulator.wolfram, w.emulated.wolfram)
+        if not known.issuperset(pair) or pair in seen:
+            raise ValueError(f"edge {pair} joins a rule that is not a node or repeats")
+        seen.add(pair)
+        if w.k > K:
+            raise ValueError(f"an edge's kmin exceeds K = {K}")
+        if not w.holds():
+            raise ValueError(f"edge {pair} has a witness that fails the emulation equations")
     return HierarchyGraph(K, tuple(nodes), tuple(HierarchyEdge(
         w.emulator.wolfram, w.emulated.wolfram, w.k, w.encoding.enc0, w.encoding.enc1)
         for w in ws), tuple(self_similar), raw=None)

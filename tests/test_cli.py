@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eca_emulation import (Diagram, EmulationWitness, Encoding, Word, cli,
-                           compose_witnesses, hierarchy, rule_from_wolfram as R)
+                           compose_witnesses, export, hierarchy, load_json,
+                           rule_from_wolfram as R, transitive_reduction)
 from eca_emulation.cli import main
 
 
@@ -116,16 +117,25 @@ def test_classify_k8_report_unchanged(capsys, tmp_path):
         "76ba6ac50fea607a0641d585b24317d60b3dd5dfd8fc7e7f86baa89bc3e5530a"
 
 
+# sha256 of `eca-emu hierarchy --kmax 8` in each format, recorded before the
+# pair enumeration became a single chunked pass
+_K8_EXPORTS = {
+    "csv": "5f9cf2e68da7372a8aa8273f6db0da924038625fd3b79f1dbeaeb292d79aee80",
+    "json": "a32c35b6298907600e1291218a4096e13ff1ad7bffac90bce167b8cb38ffdf49",
+    "dot": "26879da5e900bb7f7e1a23f61f0ebf32aca8809157aec70cdd8dbfbfecd5abf5",
+}
+# the same with --reduce; the CLI reaches transitive_reduction only through
+# this option
+_K8_REDUCED = {
+    "csv": "1ea3e7d79653c6387bf23feb075d22ce399b718825e57e280823b948e939862a",
+    "json": "4dee5f647db46690ca178af5fa6ad47f9bb6abaf5f3c0d63d6d0cc86eb071a33",
+    "dot": "c9f010dcfbbbc90ed8669ee8da540390bd0bc336e9efd7e30e325a7a9394256a",
+}
+
+
 def test_hierarchy_k8_exports_unchanged(capsys, tmp_path):
-    # sha256 of `eca-emu hierarchy --kmax 8` in each format, recorded
-    # before the pair enumeration became a single chunked pass
-    golden = {
-        "csv": "5f9cf2e68da7372a8aa8273f6db0da924038625fd3b79f1dbeaeb292d79aee80",
-        "json": "a32c35b6298907600e1291218a4096e13ff1ad7bffac90bce167b8cb38ffdf49",
-        "dot": "26879da5e900bb7f7e1a23f61f0ebf32aca8809157aec70cdd8dbfbfecd5abf5",
-    }
     cache = str(tmp_path / "cache")
-    for fmt, digest in golden.items():
+    for fmt, digest in _K8_EXPORTS.items():
         path = tmp_path / f"h.{fmt}"
         code, _ = run(capsys, "hierarchy", "--kmax", "8", "--workers", "2",
                       "--cache-dir", cache, f"--{fmt}", "-o", str(path))
@@ -134,20 +144,28 @@ def test_hierarchy_k8_exports_unchanged(capsys, tmp_path):
 
 
 def test_hierarchy_k8_reduced_exports_unchanged(capsys, tmp_path):
-    # sha256 of `eca-emu hierarchy --kmax 8 --workers 2 --reduce` in each
-    # format; the CLI reaches transitive_reduction only through this option
-    golden = {
-        "csv": "1ea3e7d79653c6387bf23feb075d22ce399b718825e57e280823b948e939862a",
-        "json": "4dee5f647db46690ca178af5fa6ad47f9bb6abaf5f3c0d63d6d0cc86eb071a33",
-        "dot": "c9f010dcfbbbc90ed8669ee8da540390bd0bc336e9efd7e30e325a7a9394256a",
-    }
     cache = str(tmp_path / "cache")
-    for fmt, digest in golden.items():
+    for fmt, digest in _K8_REDUCED.items():
         path = tmp_path / f"r.{fmt}"
         code, _ = run(capsys, "hierarchy", "--kmax", "8", "--workers", "2", "--reduce",
                       "--cache-dir", cache, f"--{fmt}", "-o", str(path))
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, fmt
+
+
+def test_hierarchy_k8_exports_survive_load_json(capsys, tmp_path):
+    # an export read back re-exports to the goldens in every format, and
+    # reducing it gives the reduced goldens
+    path = tmp_path / "h.json"
+    code, _ = run(capsys, "hierarchy", "--kmax", "8", "--workers", "2", "--json",
+                  "-o", str(path))
+    assert code == 0
+    loaded = load_json(path.read_bytes())
+    reduced = transitive_reduction(loaded)
+    for graph, golden in ((loaded, _K8_EXPORTS), (reduced, _K8_REDUCED),
+                          (load_json(export(reduced, "json")), _K8_REDUCED)):
+        for fmt, digest in golden.items():
+            assert hashlib.sha256(export(graph, fmt)).hexdigest() == digest, fmt
 
 
 def _cache_digest(cache):
@@ -303,7 +321,12 @@ def test_simulate_bounds_the_diagram(capsys, monkeypatch):
                                   "--steps", "256"])
     _refused_before_work(capsys, ["simulate", "--rule", "30", "--init", "01" * 32640 + "1",
                                   "--steps", "256", "--width", "1"])
-    # 2^24 cells pass the check; the stand-in keeps the test from drawing them
+    # each row costs ~200 bytes of objects at any width: 3 x 5,592,405 rows
+    # fit the cell bound and took 1.2 GB, so --steps stops at 2^16 - 1
+    _refused_before_work(capsys, ["simulate", "--rule", "30", "--width", "3",
+                                  "--steps", "65536"])
+    # 2^24 cells and 2^16 rows pass the checks; the stand-in keeps the test
+    # from drawing them
     sizes = []
 
     def one_cell(r, g, steps):
@@ -313,6 +336,8 @@ def test_simulate_bounds_the_diagram(capsys, monkeypatch):
     monkeypatch.setattr(cli, "render_diagram", one_cell)
     code, out = run(capsys, "simulate", "--rule", "30", "--width", "65536", "--steps", "255")
     assert code == 0 and sizes == [(65536, 255)] and out == "P1\n1 1\n0\n"
+    code, out = run(capsys, "simulate", "--rule", "30", "--width", "256", "--steps", "65535")
+    assert code == 0 and sizes[1:] == [(256, 65535)] and out == "P1\n1 1\n0\n"
 
 
 def test_verify_bounds_the_sample_length(capsys, tmp_path, monkeypatch):

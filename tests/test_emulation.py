@@ -81,6 +81,47 @@ def test_decode_inverts_encode():
         decode_config(Encoding(2, W("00"), W("11")), W("01"))
 
 
+def decode_per_block(e, w):
+    """decode_config one block at a time; the reference for the whole-word
+    decode, messages included."""
+    k = e.k
+    if len(w) % k:
+        raise ValueError(f"word of {len(w)} cells is not a sequence of {k}-cell blocks")
+    out = 0
+    for i in range(len(w) // k):
+        block = (w.bits >> (k * i)) & ((1 << k) - 1)
+        if block == e.enc1.bits:
+            out |= 1 << i
+        elif block != e.enc0.bits:
+            raise ValueError(f"block {i} ({Word(block, k).text}) is not a code word")
+    return Word(out, len(w) // k)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data(), k=st.integers(1, 7), n=st.integers(0, 14),
+       kind=st.sampled_from(["valid", "invalid", "random"]))
+def test_decode_config_matches_per_block_decode(data, k, n, kind):
+    e0, e1 = data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=2, max_size=2,
+                                unique=True), label="codes")
+    e = Encoding(k, Word(e0, k), Word(e1, k))
+    w = encode_config(e, Word(data.draw(st.integers(0, (1 << n) - 1), label="cells"), n))
+    if kind == "invalid" and n:
+        # a flipped cell leaves its block a code word only if it turns one
+        # code word into the other
+        w = Word(w.bits ^ 1 << data.draw(st.integers(0, len(w) - 1), label="flip"), len(w))
+    elif kind == "random":  # any bits, and a length that may not be a multiple of k
+        m = len(w) + data.draw(st.integers(1, 2 * k + 1), label="extra")
+        w = Word(data.draw(st.integers(0, (1 << m) - 1), label="word"), m)
+    try:
+        expected = decode_per_block(e, w)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            decode_config(e, w)
+        assert str(err.value) == str(exc)
+    else:
+        assert decode_config(e, w) == expected
+
+
 # --- naive scan --------------------------------------------------------
 
 def test_naive_scan_trivial_reflexive():
@@ -661,8 +702,9 @@ def test_self_similarity_checks_the_largest_size_first(monkeypatch):
     lambda: _unravel_batch(30, np.zeros(1, dtype=np.uint64), 4, 2),
     lambda: Subalgebra(R(30), 6, frozenset(Word(u, 6) for u in range(64))).induced_table(),
     lambda: closure(R(30), 2, [W("00"), W("1")]),
+    lambda: Encoding(1, W("0"), W("1")).encode_bit(2),
 ], ids=["decode-length", "witness-size", "render-short", "pbm-cells",
-        "batch-width", "batch-steps", "induced-table", "closure-seed"])
+        "batch-width", "batch-steps", "induced-table", "closure-seed", "encode-non-bit"])
 def test_malformed_arguments_raise_value_error(call):
     with pytest.raises(ValueError):
         call()

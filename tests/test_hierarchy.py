@@ -65,6 +65,8 @@ def test_graph_contains_traffic_edge(graph_k2):
     e = graph_k2.edge(148, 184)
     assert e is not None and e.kmin == 2
     assert e.witness().holds()
+    assert e in graph_k2.edges_from(148) and e in graph_k2.edges_to(184)
+    assert {x.emulator for x in graph_k2.edges_from(148)} == {148}
 
 
 def test_every_node_has_trivial_self_edge(graph_k2):
@@ -77,6 +79,9 @@ def test_edges_point_to_representatives(graph_k2):
     reps = {c.representative for c in dual_classes()}
     for e in graph_k2.edges:
         assert e.emulator in reps and e.emulated in reps
+    # the sweep builds its edges in (emulator, emulated) order, unsorted
+    keys = [(e.emulator, e.emulated) for e in graph_k2.edges]
+    assert keys == sorted(set(keys))
 
 
 def test_edge_witnesses_verify(graph_k3):
@@ -433,9 +438,43 @@ _EDGE = {"from": 0, "to": 0, "kmin": 1, "enc0": "0", "enc1": "1"}
     {"K": 1, "nodes": [0], "self_similar": [], "edges": [dict(_EDGE, enc1="0")]},
     {"K": 1, "nodes": [0], "self_similar": [], "edges": [dict(_EDGE, enc1="x")]},
     {"K": 1, "nodes": [0], "self_similar": [], "edges": [[0, 0, 1, "0", "1"]]},
+    {"K": 1, "nodes": [0], "self_similar": [],
+     "edges": [dict(_EDGE, kmin=2, enc0="00", enc1="11")]},
 ], ids=["missing-key", "list", "kmin-vs-codes", "node-text", "float-K", "rule-256",
-        "edges-dict", "bool-rule", "kmin-past-K", "equal-codes", "code-text", "edge-list"])
+        "edges-dict", "bool-rule", "kmin-past-K", "equal-codes", "code-text", "edge-list",
+        "valid-witness-past-K"])
 def test_load_json_rejects_malformed_documents(doc):
+    with pytest.raises(ValueError):
+        load_json(json.dumps(doc))
+
+
+def _swap_codes(doc):
+    e = next(e for e in doc["edges"] if e["to"] == 128)  # then a witness of 254
+    e["enc0"], e["enc1"] = e["enc1"], e["enc0"]
+
+
+_SELF_226 = {"from": 226, "to": 226, "kmin": 1, "enc0": "0", "enc1": "1"}
+
+
+@pytest.mark.parametrize("spoil", [
+    pytest.param(lambda doc: doc.update(nodes=[184]), id="edge-outside-nodes"),
+    pytest.param(_swap_codes, id="swapped-codes"),
+    pytest.param(lambda doc: doc.update(K=-5, edges=[]), id="negative-K"),
+    pytest.param(lambda doc: doc.update(K=21), id="K-past-limit"),
+    pytest.param(lambda doc: doc["edges"].append(doc["edges"][0]), id="repeated-edge"),
+    pytest.param(lambda doc: doc["edges"].append(_SELF_226), id="edge-from-226"),
+    pytest.param(lambda doc: doc.update(nodes=[128, 170, 184, 226, 240],
+                                        edges=doc["edges"] + [_SELF_226]),
+                 id="non-representative-node"),
+    pytest.param(lambda doc: doc.update(nodes=doc["nodes"][::-1]), id="unsorted-nodes"),
+    pytest.param(lambda doc: doc["nodes"].append(240), id="repeated-node"),
+    pytest.param(lambda doc: doc.update(self_similar=[30]), id="self-similar-outside-nodes"),
+])
+def test_load_json_rechecks_what_an_export_claims(spoil):
+    # each spoiled export keeps the shape load_json parses
+    doc = json.loads(export(compute_hierarchy(2, reps=[184]), "json"))
+    assert load_json(json.dumps(doc)).nodes == (128, 170, 184, 240)
+    spoil(doc)
     with pytest.raises(ValueError):
         load_json(json.dumps(doc))
 
