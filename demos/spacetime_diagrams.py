@@ -12,7 +12,6 @@ from pathlib import Path
 
 from eca_emulation import (
     EmulationWitness,
-    Grid,
     Word,
     check_emulation_naive,
     render_diagram,
@@ -26,7 +25,7 @@ out.mkdir(exist_ok=True)
 
 width, steps = 83, 60
 center = Word(1 << (width // 2), width)
-d110 = render_diagram(rule_from_wolfram(110), Grid(center), steps)
+d110 = render_diagram(rule_from_wolfram(110), center, steps)
 (out / "rule110.pbm").write_bytes(write_pbm(d110))
 
 rng = random.Random(7)

@@ -49,7 +49,7 @@ from .rules import (
     unravel,
     unravel_iter,
 )
-from .words import Grid, Word
+from .words import Word
 
 __all__ = [
     "ClassificationReport",
@@ -58,7 +58,6 @@ __all__ = [
     "EcaRule",
     "EmulationWitness",
     "Encoding",
-    "Grid",
     "HierarchyEdge",
     "HierarchyGraph",
     "Subalgebra",

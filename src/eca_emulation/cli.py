@@ -27,7 +27,7 @@ from .hierarchy import classify, compute_hierarchy, export, transitive_reduction
 from .render import render_diagram, write_pbm
 from .rules import (MAX_SUPERCELL_BITS, _check_k, dual, is_affine, is_linear, mirror,
                     rule_from_wolfram)
-from .words import Grid, Word
+from .words import Word
 
 CACHE_ENV = "ECA_EMULATION_CACHE"
 
@@ -36,11 +36,11 @@ CACHE_ENV = "ECA_EMULATION_CACHE"
 _MAX_WITNESS_K = (MAX_SUPERCELL_BITS // 3) ** 2
 
 # Upper bounds on the options that size memory or processes.  A diagram of
-# 2^24 cells is 32 MiB of P1 text, and each of its rows costs ~200 bytes of
-# objects at any width, so the rows are bounded too: 2^16 rows peaked at
-# 115 MB of RSS (256 cells, P1) and ~50 MB (3 cells), where 5.6M rows of 3
-# cells took 1.2 GB.  A verify sample of 100,000 cells is 5 MB per copy of
-# its encoding at the verify limit k = 400.
+# 2^24 cells is 32 MiB of P1 text, and each of its rows costs ~60 bytes of
+# objects besides its cells, so the rows are bounded too: 2^16 rows peaked
+# at 106 MB of RSS (256 cells, P1), 51 MB (256 cells, P4) and 39 MB (3
+# cells).  A verify sample of 100,000 cells is 5 MB per copy of its
+# encoding at the verify limit k = 400.
 _MAX_WORKERS = 64
 _MAX_DIAGRAM_CELLS = 1 << 24
 _MAX_STEPS = (1 << 16) - 1
@@ -120,7 +120,7 @@ def cmd_simulate(args) -> int:
     else:
         rng = random.Random(args.seed)
         cells = Word(rng.getrandbits(args.width), args.width)
-    diagram = render_diagram(r, Grid(cells), args.steps)
+    diagram = render_diagram(r, cells, args.steps)
     _emit(write_pbm(diagram, binary=args.binary), args.output)
     return 0
 

@@ -28,6 +28,7 @@ import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain, pairwise
 
 from .emulation import Encoding, EmulationWitness, emulated_rule_map, proper_subalgebra_search
 from .rules import _DUAL, _check_k, _conjugates, rule_from_wolfram
@@ -77,15 +78,21 @@ class HierarchyEdge:
     enc1: Word
 
     def witness(self) -> EmulationWitness:
-        enc = Encoding(len(self.enc0), self.enc0, self.enc1)
+        """The witness at the edge's stated size kmin; codes of any other
+        length raise ValueError."""
         return EmulationWitness(rule_from_wolfram(self.emulated),
-                                rule_from_wolfram(self.emulator),
-                                enc.k, enc)
+                                rule_from_wolfram(self.emulator), self.kmin,
+                                Encoding(self.kmin, self.enc0, self.enc1))
 
 
 @dataclass(frozen=True)
 class HierarchyGraph:
     """Directed graph on duality-class representatives.
+
+    Construction raises ValueError unless K is a supercell size, the nodes
+    are strictly increasing duality representatives holding the
+    self-similar rules and both ends of every edge, the edges strictly
+    increase by (emulator, emulated), and no edge's kmin exceeds K.
 
     ``raw`` maps (representative, k) to {emulated wolfram: (enc0, enc1)}
     for every computed size; it is None on graphs loaded from JSON, which
@@ -97,6 +104,19 @@ class HierarchyGraph:
     edges: tuple[HierarchyEdge, ...]
     self_similar: tuple[int, ...]
     raw: dict | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        _check_k(self.K)
+        known = set(self.nodes)
+        if any(a >= b for a, b in pairwise(self.nodes)) or any(rep_of(n) != n for n in known):
+            raise ValueError("nodes must be strictly increasing duality representatives")
+        if not known.issuperset(self.self_similar):
+            raise ValueError("a self-similar rule is not a node")
+        pairs = [(e.emulator, e.emulated) for e in self.edges]
+        if any(p >= q for p, q in pairwise(pairs)) or not known.issuperset(chain(*pairs)):
+            raise ValueError("edges must strictly increase by (emulator, emulated) between nodes")
+        if any(e.kmin > self.K for e in self.edges):
+            raise ValueError(f"an edge's kmin exceeds K = {self.K}")
 
     def edge(self, emulator: int, emulated: int) -> HierarchyEdge | None:
         for e in self.edges:
@@ -257,16 +277,16 @@ def compute_hierarchy(K: int, reps: list[int] | None = None, workers: int = 1,
 
 
 def transitive_reduction(g: HierarchyGraph) -> HierarchyGraph:
-    """Drop non-self edges implied by transitivity; reachability is preserved.
+    """Drop non-self edges implied by transitivity, in edge order;
+    reachability is preserved.
 
     Rendering aid only: kmin values of surviving edges are unchanged and
     the raw table is dropped, so reduced graphs must not be classified.
     """
-    self_edges = [e for e in g.edges if e.emulator == e.emulated]
-    rest = {(e.emulator, e.emulated): e for e in g.edges if e.emulator != e.emulated}
     succ: dict[int, set[int]] = {n: set() for n in g.nodes}
-    for a, b in rest:
-        succ[a].add(b)
+    for e in g.edges:
+        if e.emulator != e.emulated:
+            succ[e.emulator].add(e.emulated)
 
     def reachable(src: int, dst: int) -> bool:
         stack = [src]
@@ -281,15 +301,15 @@ def transitive_reduction(g: HierarchyGraph) -> HierarchyGraph:
                     stack.append(nxt)
         return False
 
-    for a, b in sorted(rest):
-        succ[a].discard(b)
-        if not reachable(a, b):
+    kept = []
+    for e in g.edges:
+        a, b = e.emulator, e.emulated
+        if a != b:
+            succ[a].discard(b)
+            if reachable(a, b):
+                continue
             succ[a].add(b)
-        else:
-            del rest[(a, b)]
-
-    kept = self_edges + list(rest.values())
-    kept.sort(key=lambda e: (e.emulator, e.emulated))
+        kept.append(e)
     return HierarchyGraph(g.K, g.nodes, tuple(kept), g.self_similar, raw=None)
 
 
@@ -383,7 +403,7 @@ def export(g: HierarchyGraph, format: str) -> bytes:
 
 def _export_csv(g: HierarchyGraph) -> bytes:
     lines = ["emulator,emulated,kmin"]
-    for e in sorted(g.edges, key=lambda e: (e.emulator, e.emulated, e.kmin)):
+    for e in g.edges:
         lines.append(f"{e.emulator},{e.emulated},{e.kmin}")
     return ("\n".join(lines) + "\n").encode("ascii")
 
@@ -396,7 +416,7 @@ def _export_json(g: HierarchyGraph) -> bytes:
         "edges": [
             {"from": e.emulator, "to": e.emulated, "kmin": e.kmin,
              "enc0": e.enc0.text, "enc1": e.enc1.text}
-            for e in sorted(g.edges, key=lambda e: (e.emulator, e.emulated))
+            for e in g.edges
         ],
     }
     return (json.dumps(obj, indent=1, sort_keys=True) + "\n").encode("ascii")
@@ -410,7 +430,7 @@ def _export_dot(g: HierarchyGraph) -> bytes:
     for n in g.nodes:
         attrs = ' [peripheries=2]' if n in marked else ""
         lines.append(f"  r{n}{attrs};")
-    for e in sorted(g.edges, key=lambda e: (e.emulator, e.emulated)):
+    for e in g.edges:
         if e.emulator == e.emulated:
             continue
         lines.append(f'  r{e.emulator} -> r{e.emulated} [label="k={e.kmin}"];')
@@ -420,10 +440,8 @@ def _export_dot(g: HierarchyGraph) -> bytes:
 
 def load_json(data: bytes | str) -> HierarchyGraph:
     """Rebuild a graph from its JSON export (without raw results); any other
-    shape raises ValueError.  K must be a supercell size, the nodes strictly
-    increasing duality representatives holding the self-similar rules and
-    both ends of every edge, no edge may repeat, and each edge's witness
-    must hold."""
+    shape raises ValueError, as does a graph that breaks HierarchyGraph's
+    invariants or an edge whose witness fails."""
     try:
         obj = json.loads(data)
         K, nodes, self_similar, edges = (obj[key] for key in ("K", "nodes", "self_similar", "edges"))
@@ -437,22 +455,12 @@ def load_json(data: bytes | str) -> HierarchyGraph:
         raise ValueError("hierarchy document is nested too deeply") from None
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed hierarchy document: {exc!r}") from None
-    _check_k(K)
-    known = set(nodes)
-    if nodes != sorted(known) or any(rep_of(n) != n for n in nodes):
-        raise ValueError("nodes must be strictly increasing duality representatives")
-    if not known.issuperset(self_similar):
-        raise ValueError("a self-similar rule is not a node")
-    seen = set()
-    for w in ws:
-        pair = (w.emulator.wolfram, w.emulated.wolfram)
-        if not known.issuperset(pair) or pair in seen:
-            raise ValueError(f"edge {pair} joins a rule that is not a node or repeats")
-        seen.add(pair)
-        if w.k > K:
-            raise ValueError(f"an edge's kmin exceeds K = {K}")
-        if not w.holds():
-            raise ValueError(f"edge {pair} has a witness that fails the emulation equations")
-    return HierarchyGraph(K, tuple(nodes), tuple(HierarchyEdge(
+    # built first, so every kmin is bounded by K before holds() spends ~kmin^2
+    g = HierarchyGraph(K, tuple(nodes), tuple(HierarchyEdge(
         w.emulator.wolfram, w.emulated.wolfram, w.k, w.encoding.enc0, w.encoding.enc1)
         for w in ws), tuple(self_similar), raw=None)
+    for e, w in zip(g.edges, ws):
+        if not w.holds():
+            raise ValueError(f"edge {e.emulator} -> {e.emulated} has a witness that "
+                             "fails the emulation equations")
+    return g

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .emulation import EmulationWitness, decode_config, encode_config
 from .rules import EcaRule, trajectory
-from .words import _BITREV, Grid, Word
+from .words import _BITREV, Word
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,9 @@ class Diagram:
         return len(self.rows)
 
 
-def render_diagram(r: EcaRule, g: Grid, steps: int) -> Diagram:
-    """Diagram of the trajectory: row t is the configuration after t steps."""
-    return Diagram(tuple(grid.cells for grid in trajectory(r, g, steps)))
+def render_diagram(r: EcaRule, c: Word, steps: int) -> Diagram:
+    """Diagram of the cyclic trajectory: row t is the configuration after t steps."""
+    return Diagram(tuple(trajectory(r, c, steps)))
 
 
 def render_emulated(w: EmulationWitness, u: Word, steps: int) -> tuple[Diagram, Diagram]:
@@ -54,16 +54,15 @@ def render_emulated(w: EmulationWitness, u: Word, steps: int) -> tuple[Diagram, 
         raise ValueError("witness does not satisfy the emulation equations")
     if len(u) < 3:
         raise ValueError(f"cyclic configuration of {len(u)} cells too short")
-    direct = render_diagram(w.emulated, Grid(u), steps)
-    full = render_diagram(w.emulator, Grid(encode_config(w.encoding, u)),
-                          steps * w.k)
-    sampled = Diagram(tuple(full.rows[t * w.k] for t in range(steps + 1)))
-    for t in range(steps + 1):
-        decoded = decode_config(w.encoding, sampled.rows[t])
-        if decoded != direct.rows[t]:
+    direct = render_diagram(w.emulated, u, steps)
+    sampled = Diagram(tuple(
+        trajectory(w.emulator, encode_config(w.encoding, u), steps * w.k)[::w.k]))
+    for t, (row, want) in enumerate(zip(sampled.rows, direct.rows)):
+        decoded = decode_config(w.encoding, row)
+        if decoded != want:
             raise RuntimeError(
                 f"encoded run diverged from the direct run at step {t}: "
-                f"{decoded.text} != {direct.rows[t].text}")
+                f"{decoded.text} != {want.text}")
     return direct, sampled
 
 

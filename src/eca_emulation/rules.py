@@ -29,7 +29,7 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .words import _BITREV, Grid, Word
+from .words import _BITREV, Word
 
 # The array kernels keep a packed word of 3k cells in one uint64 lane.
 MAX_SUPERCELL_BITS = 62
@@ -312,23 +312,23 @@ def _step_bits_cyclic(wolfram: int, bits: int, n: int) -> int:
     return _unravel_bits(wolfram, padded, n + 2, 1)
 
 
-def global_step(r: EcaRule, g: Grid) -> Grid:
+def global_step(r: EcaRule, c: Word) -> Word:
     """Apply the global rule F(c)_i = f(c_{i-1}, c_i, c_{i+1}) once.
 
-    Defined on grids of length >= 3; neighbor indices are taken modulo the
-    grid size.  Open words shrink instead: see ``unravel``.
+    Defined on cyclic configurations of length >= 3; neighbor indices are
+    taken modulo the length.  Open words shrink instead: see ``unravel``.
     """
-    n = len(g)
+    n = len(c)
     if n < 3:
-        raise ValueError(f"cyclic grid length {n} < 3")
-    return Grid(Word(_step_bits_cyclic(r.wolfram, g.cells.bits, n), n))
+        raise ValueError(f"cyclic configuration length {n} < 3")
+    return Word(_step_bits_cyclic(r.wolfram, c.bits, n), n)
 
 
-def trajectory(r: EcaRule, g: Grid, t: int) -> list[Grid]:
-    """The orbit (u, F(u), ..., F^t(u)); element 0 is the input grid."""
+def trajectory(r: EcaRule, c: Word, t: int) -> list[Word]:
+    """The orbit (c, F(c), ..., F^t(c)) of a cyclic configuration."""
     if t < 0:
         raise ValueError(f"negative step count {t}")
-    out = [g]
+    out = [c]
     for _ in range(t):
         out.append(global_step(r, out[-1]))
     return out

@@ -1,9 +1,13 @@
-"""Packed binary words and finite grids.
+"""Packed binary words.
 
 A Word stores its cells as bits of a single Python integer, little-endian:
 bit ``i`` of ``bits`` is cell ``i``, so the integer value of a word is the
 word read as a little-endian number.  Text form puts cell 0 leftmost, e.g.
 ``Word.from_text("110")`` has cells (1, 1, 0) and ``bits == 0b011 == 3``.
+
+A Word is also a configuration on a cyclic grid, whose cells wrap around
+and keep their number under ``rules.global_step``; as an open word it
+loses one cell per side per step under ``rules.unravel``.
 
 All values here are immutable; every function is pure.
 """
@@ -19,7 +23,7 @@ from typing import Iterable, Iterator
 _BITREV = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     """A finite sequence of cells in {0, 1}, packed into one integer."""
 
@@ -76,18 +80,3 @@ class Word:
 
     def concat(self, other: "Word") -> "Word":
         return Word(self.bits | other.bits << self.length, self.length + other.length)
-
-
-@dataclass(frozen=True)
-class Grid:
-    """A configuration on a finite cyclic grid.
-
-    The cells wrap around (indices modulo the length), so a grid keeps its
-    length under stepping.  Open words, which lose one cell per side per
-    step, are plain Words: see rules.unravel.
-    """
-
-    cells: Word
-
-    def __len__(self) -> int:
-        return len(self.cells)

@@ -57,6 +57,7 @@ def test_encoding_validation():
 
 def test_encode_config_examples():
     e = Encoding(2, W("00"), W("11"))
+    assert repr(e) == "Encoding(k=2, enc0=00, enc1=11)"
     assert encode_config(e, W("101")).text == "110011"
     ident = Encoding(1, W("0"), W("1"))
     w = W("100110")

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from eca_emulation import (
+    EmulationWitness,
     classify,
     compute_hierarchy,
     dual,
@@ -64,7 +65,7 @@ def test_rep_of():
 def test_graph_contains_traffic_edge(graph_k2):
     e = graph_k2.edge(148, 184)
     assert e is not None and e.kmin == 2
-    assert e.witness().holds()
+    assert e.witness().holds() and e.witness().k == e.kmin == 2
     assert e in graph_k2.edges_from(148) and e in graph_k2.edges_to(184)
     assert {x.emulator for x in graph_k2.edges_from(148)} == {148}
 
@@ -82,6 +83,12 @@ def test_edges_point_to_representatives(graph_k2):
     # the sweep builds its edges in (emulator, emulated) order, unsorted
     keys = [(e.emulator, e.emulated) for e in graph_k2.edges]
     assert keys == sorted(set(keys))
+
+
+def test_edge_witness_has_the_edge_size():
+    # codes of one cell cannot witness an edge that states kmin = 3
+    with pytest.raises(ValueError):
+        HierarchyEdge(1, 2, 3, Word(0, 1), Word(1, 1)).witness()
 
 
 def test_edge_witnesses_verify(graph_k3):
@@ -318,10 +325,33 @@ def test_orbit_task_matches_direct_cells():
 
 # --- transitive reduction ------------------------------------------------
 
+def _edge(a, b, k=1):
+    return HierarchyEdge(a, b, k, Word(0, k), Word(1, k))
+
+
 def mkgraph(edges, nodes=None):
-    es = tuple(HierarchyEdge(a, b, 1, Word(0, 1), Word(1, 1)) for a, b in edges)
+    es = tuple(_edge(a, b) for a, b in sorted(edges))
     ns = tuple(sorted(nodes or {n for e in edges for n in e}))
     return HierarchyGraph(1, ns, es, (), raw=None)
+
+
+@pytest.mark.parametrize("K, nodes, edges, self_similar", [
+    (1, (1, 2), (_edge(1, 3), _edge(3, 2)), ()),
+    (1, (1, 2, 3), (_edge(2, 3), _edge(1, 2)), ()),
+    (1, (1, 2), (_edge(1, 2), _edge(1, 2)), ()),
+    (1, (1, 255), (), ()),
+    (1, (2, 1), (), ()),
+    (1, (1, 2), (), (3,)),
+    (1, (1, 2), (_edge(1, 2, k=2),), ()),
+    (0, (), (), ()),
+    (21, (), (), ()),
+], ids=["edge-end-not-a-node", "edges-out-of-order", "repeated-pair", "non-representative-node",
+        "unsorted-nodes", "self-similar-not-a-node", "kmin-past-K", "K-zero", "K-past-limit"])
+def test_graph_checks_its_invariants(K, nodes, edges, self_similar):
+    # unchecked, the first graph's reduction raised KeyError and its DOT
+    # export drew an edge to the undeclared node r3
+    with pytest.raises(ValueError):
+        HierarchyGraph(K, nodes, edges, self_similar)
 
 
 def test_reduction_drops_implied_edge():
@@ -440,9 +470,11 @@ _EDGE = {"from": 0, "to": 0, "kmin": 1, "enc0": "0", "enc1": "1"}
     {"K": 1, "nodes": [0], "self_similar": [], "edges": [[0, 0, 1, "0", "1"]]},
     {"K": 1, "nodes": [0], "self_similar": [],
      "edges": [dict(_EDGE, kmin=2, enc0="00", enc1="11")]},
+    {"K": 1, "nodes": [0, 1], "self_similar": [],
+     "edges": [dict(_EDGE, **{"from": 1, "to": 1}), _EDGE]},
 ], ids=["missing-key", "list", "kmin-vs-codes", "node-text", "float-K", "rule-256",
         "edges-dict", "bool-rule", "kmin-past-K", "equal-codes", "code-text", "edge-list",
-        "valid-witness-past-K"])
+        "valid-witness-past-K", "edges-out-of-order"])
 def test_load_json_rejects_malformed_documents(doc):
     with pytest.raises(ValueError):
         load_json(json.dumps(doc))
@@ -476,6 +508,17 @@ def test_load_json_rechecks_what_an_export_claims(spoil):
     assert load_json(json.dumps(doc)).nodes == (128, 170, 184, 240)
     spoil(doc)
     with pytest.raises(ValueError):
+        load_json(json.dumps(doc))
+
+
+def test_load_json_builds_the_graph_before_checking_witnesses(monkeypatch):
+    # holds() costs ~kmin^2, so it runs only once the graph has bounded kmin by K
+    def unreachable(w):
+        raise AssertionError("holds() ran before the graph was built")
+    monkeypatch.setattr(EmulationWitness, "holds", unreachable)
+    doc = {"K": 1, "nodes": [0], "self_similar": [],
+           "edges": [dict(_EDGE, kmin=2, enc0="00", enc1="11")]}
+    with pytest.raises(ValueError, match="kmin exceeds K"):
         load_json(json.dumps(doc))
 
 

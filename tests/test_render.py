@@ -6,7 +6,6 @@ from eca_emulation import (
     Diagram,
     EmulationWitness,
     Encoding,
-    Grid,
     Word,
     check_emulation_naive,
     read_pbm,
@@ -29,17 +28,17 @@ def test_diagram_validation():
 
 
 def test_render_diagram_rows_are_the_trajectory():
-    g = Grid(Word.from_text("00100"))
+    g = Word.from_text("00100")
     d = render_diagram(R(110), g, 7)
     assert d.height == 8 and d.width == 5
-    assert list(d.rows) == [x.cells for x in trajectory(R(110), g, 7)]
+    assert list(d.rows) == trajectory(R(110), g, 7)
 
 
 def test_render_diagram_trivial_rules():
     u = Word.from_text("1011")
-    d = render_diagram(R(0), Grid(u), 2)
+    d = render_diagram(R(0), u, 2)
     assert [r.text for r in d.rows] == ["1011", "0000", "0000"]
-    d = render_diagram(R(204), Grid(u), 3)
+    d = render_diagram(R(204), u, 3)
     assert all(r == u for r in d.rows)
 
 
@@ -63,10 +62,10 @@ def test_render_emulated_decodes_exactly():
     # one row against an independent re-walk of the emulator trajectory
     from eca_emulation import encode_config, global_step
 
-    g = Grid(encode_config(enc, u))
+    g = encode_config(enc, u)
     for _ in range(2 * 20):
         g = global_step(R(148), g)
-    assert sampled.rows[-1] == g.cells
+    assert sampled.rows[-1] == g
 
 
 def test_render_emulated_rejects_invalid_witness():
@@ -89,7 +88,7 @@ def test_rule_110_diagram_golden():
     # writer shows up as a hash change
     import hashlib
 
-    d = render_diagram(R(110), Grid(Word(1 << 15, 31)), 100)
+    d = render_diagram(R(110), Word(1 << 15, 31), 100)
     plain = write_pbm(d)
     assert hashlib.sha256(plain).hexdigest() == \
         "92ae74a876aea59682b108743678aa9c66cc3f550eceae103acc167fb7fce15e"

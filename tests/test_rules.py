@@ -5,7 +5,6 @@ import pytest
 import eca_emulation
 from eca_emulation import (
     EcaRule,
-    Grid,
     Word,
     apply_local,
     dual,
@@ -39,6 +38,7 @@ def test_rule_from_wolfram_examples():
     assert {nb for nb, out in brute_table(110).items() if out} == ones
     assert all(r110(*nb) == (nb in ones) for nb in brute_table(110))
     assert rule_from_wolfram(0).table == (0,) * 8
+    assert repr(r110) == "EcaRule(110)"
     # rule 204 is the identity on the middle cell
     r204 = rule_from_wolfram(204)
     assert all(r204(a, b, c) == b for (a, b, c) in brute_table(204))
@@ -124,9 +124,9 @@ def step_oracle(r, cells):
 
 def test_global_step_examples():
     w = Word.from_text("10110")
-    assert global_step(rule_from_wolfram(204), Grid(w)).cells == w
-    assert global_step(rule_from_wolfram(0), Grid(w)).cells == Word.zeros(5)
-    assert global_step(rule_from_wolfram(184), Grid(Word.from_text("1100"))).cells \
+    assert global_step(rule_from_wolfram(204), w) == w
+    assert global_step(rule_from_wolfram(0), w) == Word.zeros(5)
+    assert global_step(rule_from_wolfram(184), Word.from_text("1100")) \
         == Word.from_text("1010")
 
 
@@ -139,31 +139,31 @@ def test_global_step_matches_cellwise_oracle():
         grids = [[(i >> j) & 1 for j in range(3)] for i in range(8)]
         grids.append([rng.randrange(2) for _ in range(rng.randrange(4, 80))])
         for cells in grids:
-            stepped = global_step(rule, Grid(Word.from_bits(cells)))
-            assert list(stepped.cells) == step_oracle(rule, cells)
+            stepped = global_step(rule, Word.from_bits(cells))
+            assert list(stepped) == step_oracle(rule, cells)
 
 
 def test_global_step_rejects():
     with pytest.raises(ValueError):
-        global_step(rule_from_wolfram(110), Grid(Word.from_text("11")))
+        global_step(rule_from_wolfram(110), Word.from_text("11"))
 
 
 def test_homogeneous_configurations():
     for n in range(256):
         r = rule_from_wolfram(n)
-        zero = global_step(r, Grid(Word.zeros(7))).cells
-        one = global_step(r, Grid(Word.ones(7))).cells
+        zero = global_step(r, Word.zeros(7))
+        one = global_step(r, Word.ones(7))
         assert zero == (Word.ones(7) if r(0, 0, 0) else Word.zeros(7))
         assert one == (Word.ones(7) if r(1, 1, 1) else Word.zeros(7))
 
 
 def test_trajectory_examples():
-    g = Grid(Word.from_text("1100"))
-    assert [x.cells.text for x in trajectory(rule_from_wolfram(184), g, 2)] \
+    g = Word.from_text("1100")
+    assert [x.text for x in trajectory(rule_from_wolfram(184), g, 2)] \
         == ["1100", "1010", "0101"]
     assert trajectory(rule_from_wolfram(110), g, 0) == [g]
     t = trajectory(rule_from_wolfram(0), g, 2)
-    assert [x.cells.text for x in t] == ["1100", "0000", "0000"]
+    assert [x.text for x in t] == ["1100", "0000", "0000"]
     with pytest.raises(ValueError):
         trajectory(rule_from_wolfram(110), g, -1)
 
@@ -176,9 +176,9 @@ def test_linear_rules_respect_superposition():
             length = rng.randrange(3, 30)
             x = rng.getrandbits(length)
             y = rng.getrandbits(length)
-            fx = global_step(r, Grid(Word(x, length))).cells.bits
-            fy = global_step(r, Grid(Word(y, length))).cells.bits
-            fxy = global_step(r, Grid(Word(x ^ y, length))).cells.bits
+            fx = global_step(r, Word(x, length)).bits
+            fy = global_step(r, Word(y, length)).bits
+            fxy = global_step(r, Word(x ^ y, length)).bits
             assert fxy == fx ^ fy
 
 

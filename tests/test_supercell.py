@@ -7,7 +7,6 @@ import pytest
 from eca_emulation import (
     Encoding,
     EmulationWitness,
-    Grid,
     Word,
     apply_local,
     check_emulation_naive,
@@ -178,7 +177,7 @@ def test_open_window_agrees_with_cyclic_interior():
         cells = [rng.randrange(2) for _ in range(n)]
         unrolled = Word.from_bits([cells[(j - t) % n] for j in range(n + 2 * t)])
         open_result = unravel_iter(rule, unrolled, t)
-        g = Grid(Word.from_bits(cells))
+        g = Word.from_bits(cells)
         for _ in range(t):
             g = global_step(rule, g)
-        assert open_result == g.cells
+        assert open_result == g

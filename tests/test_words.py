@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,7 +11,8 @@ def test_from_text_packs_little_endian():
     w = Word.from_text("110")
     assert (w.bits, w.length) == (0b011, 3)
     assert list(w) == [1, 1, 0]
-    assert w.text == "110"
+    assert w.text == str(w) == "110"
+    assert repr(w) == "Word.from_text('110')" and eval(repr(w)) == w
 
 
 def test_from_bits_roundtrip():
@@ -32,6 +36,16 @@ def test_zeros_ones_and_len():
     assert Word.ones(5).bits == 31
     assert len(Word.zeros(0)) == 0
     assert Word.zeros(0).text == ""
+
+
+def test_slotted_word_hashes_pickles_and_copies():
+    w = Word.from_text("10011")
+    assert not hasattr(w, "__dict__")
+    assert hash(w) == hash(Word(0b11001, 5)) and w == Word(0b11001, 5)
+    for twin in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
+        assert twin == w and hash(twin) == hash(w)
+    with pytest.raises(AttributeError):
+        w.bits = 0
 
 
 def test_concat():
