@@ -20,6 +20,13 @@ other on small instances.
 supercell algebra contains *any* proper subalgebra with at least two
 elements, i.e. whether g can emulate any automaton with more than one
 state, non-trivially, at this supercell size.
+
+Importing this module does not import numpy.  The functions that build
+arrays import it when they run: the enumeration, the closure search, the
+batched naive scan and its scalar table, and the encoding table behind
+``encode_config``, ``decode_config`` and ``verify_witness``.  The
+witness types, ``EmulationWitness.holds`` and the scalar kernel stay
+numpy-free, so reading a cache or checking witnesses starts without it.
 """
 
 from __future__ import annotations
@@ -27,9 +34,8 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import cache
-
-import numpy as np
+from functools import cache, lru_cache
+from typing import TYPE_CHECKING
 
 from .rules import (
     EcaRule,
@@ -37,7 +43,6 @@ from .rules import (
     _MIRROR,
     _check_k,
     _conjugates,
-    _gk_table_list,
     _reads,
     _unravel_batch,
     _unravel_bits,
@@ -45,6 +50,9 @@ from .rules import (
     supercell_step,
 )
 from .words import Word
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Chunk size for the batched scans; results never depend on it.  At 2^14
 # uint64 words (128 KiB) the temporaries of one kernel step stay in a 2 MiB
@@ -55,9 +63,6 @@ _CHUNK = 1 << 14
 # Encoded bits per packed block of verify_witness samples; results never
 # depend on it.
 _VERIFY_BITS = 1 << 18
-
-_DUAL_ARR = np.array(_DUAL, dtype=np.uint16)
-_MIRROR_ARR = np.array(_MIRROR, dtype=np.uint16)
 
 
 @dataclass(frozen=True)
@@ -159,8 +164,8 @@ class EmulationWitness:
 # Naive decision procedure: scan all encodings for one fixed candidate f.
 
 # The naive scan reads a full table of the supercell operation up to this
-# size (a 2^(3k)-entry list from rules._gk_table_list) and runs the
-# batch kernel over the encoding pairs above it.
+# size (a 2^(3k)-entry list from _gk_table_list) and runs the batch kernel
+# over the encoding pairs above it.
 _TABLE_MAX_K = 6
 
 
@@ -175,6 +180,22 @@ def check_emulation_naive(f: EcaRule, g: EcaRule, k: int) -> Encoding | None:
     if k <= _TABLE_MAX_K:
         return _naive_scan_scalar(f, g, k)
     return _naive_scan_batched(f, g, k)
+
+
+@lru_cache(maxsize=16)
+def _gk_table_list(wolfram: int, k: int) -> list[int]:
+    """Full table of the size-k supercell operation, indexed by the packed
+    3k-bit concatenation, for the scalar naive scan.  A plain list:
+    single-element indexing is ~4x faster than on an ndarray.  At k = 6 a
+    table holds 2^18 entries, 2 MiB, so the 16 cached tables stay under
+    ~32 MiB.  It calls ``rules._unravel_batch`` directly, so a tracer
+    that wraps this module's ``_unravel_batch`` sees only the scans."""
+    import numpy as np
+
+    from . import rules
+
+    inputs = np.arange(1 << (3 * k), dtype=np.uint64)
+    return rules._unravel_batch(wolfram, inputs, 3 * k, k).tolist()
 
 
 def _naive_scan_scalar(f: EcaRule, g: EcaRule, k: int) -> Encoding | None:
@@ -197,6 +218,8 @@ def _naive_scan_scalar(f: EcaRule, g: EcaRule, k: int) -> Encoding | None:
 
 
 def _naive_scan_batched(f: EcaRule, g: EcaRule, k: int) -> Encoding | None:
+    import numpy as np
+
     n = 1 << k
     fbits = f.table
     total = n * n
@@ -227,6 +250,8 @@ _MIXED_PATTERNS = (1, 2, 4, 3, 5, 6)
 
 def _diagonal_map(wolfram: int, k: int) -> np.ndarray:
     """d[u] = supercell_step(g, k, u, u, u) for every supercell u."""
+    import numpy as np
+
     e = np.arange(1 << k, dtype=np.uint64)
     return _unravel_batch(wolfram, _pattern_words(0, e, e, k), 3 * k, k)
 
@@ -234,6 +259,8 @@ def _diagonal_map(wolfram: int, k: int) -> np.ndarray:
 def _pattern_words(p: int, u: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
     """Packed triples of selection pattern p (i = 4*s1 + 2*s2 + s3): cell
     block j holds v where pattern bit s_j is 1, u where it is 0."""
+    import numpy as np
+
     x, y, z = (v if (p >> s) & 1 else u for s in (2, 1, 0))
     return x | y << np.uint64(k) | z << np.uint64(2 * k)
 
@@ -257,6 +284,8 @@ def _pattern_classes(wolfram: int) -> tuple[np.uint16, np.uint16,
     ``_MIXED_PATTERNS`` order, (q, mask) with q the pattern to evaluate.
     Pattern p gives the product of q = p & ``_read_blocks(wolfram)``, or of
     pattern 7 when q is all of the read set."""
+    import numpy as np
+
     read = _read_blocks(wolfram)
     classes = {0: 1, 7: 1 << 7}
     for p in _MIXED_PATTERNS:
@@ -300,6 +329,8 @@ def _closed_pairs(wolfram: int, k: int, diag: np.ndarray
     of the pair space is ever built.  Chunks in which no candidate survives
     are not yielded.
     """
+    import numpy as np
+
     n = 1 << k
     sk = np.uint64(k)
     to_u, to_v, evaluated = _pattern_classes(wolfram)
@@ -353,12 +384,14 @@ def emulated_rules(g: EcaRule, k: int) -> list[tuple[EcaRule, Encoding]]:
     can admit millions of closed pairs; use emulated_rule_map when only
     the set of rules and one witness per rule are needed.
     """
+    import numpy as np
+
     _check_k(k)
     chunks = list(_closed_pairs(g.wolfram, k, _diagonal_map(g.wolfram, k)))
     if not chunks:
         return []
     U, V, W = (np.concatenate(c) for c in zip(*chunks))
-    wol = np.concatenate([W, _DUAL_ARR[W]])
+    wol = np.concatenate([W, np.array(_DUAL, dtype=np.uint16)[W]])
     e0 = np.concatenate([U, V])
     e1 = np.concatenate([V, U])
     order = np.lexsort((e1, e0, wol))
@@ -385,10 +418,13 @@ def emulated_rule_map(g: EcaRule, k: int, targets=None) -> dict:
     through the map that carries g to it, and the minimum over the images
     of all of g's closed pairs is t's own scan-order-minimal witness.
     """
+    import numpy as np
+
     _check_k(k)
     n = 1 << k
     none = np.iinfo(np.uint64).max
     sk = np.uint64(k)
+    dual_arr, mirror_arr = (np.array(m, dtype=np.uint16) for m in (_DUAL, _MIRROR))
     orbit = _conjugates(g.wolfram)
     folds = []  # (t, per-rule minimum, supercell map or None, mirrored)
     for t in (g.wolfram,) if targets is None else targets:
@@ -408,9 +444,9 @@ def emulated_rule_map(g: EcaRule, k: int, targets=None) -> dict:
         for _, best, cells, mirrored in folds:
             a, b = (u, v) if cells is None else (cells[u.astype(np.int64)],
                                                  cells[v.astype(np.int64)])
-            f = _MIRROR_ARR[w] if mirrored else w
+            f = mirror_arr[w] if mirrored else w
             np.minimum.at(best, f, a << sk | b)
-            np.minimum.at(best, _DUAL_ARR[f], b << sk | a)
+            np.minimum.at(best, dual_arr[f], b << sk | a)
     mask = n - 1
     return {f if targets is None else (t, f): Encoding(k, Word(key >> k, k), Word(key & mask, k))
             for t, best, _, _ in folds for f, key in enumerate(best.tolist()) if key != none}
@@ -469,6 +505,8 @@ def verify_witness(w: EmulationWitness, length: int, horizon: int,
 
 def _encoding_table(enc: Encoding) -> np.ndarray:
     """Row b holds the k bytes encoding the 8 cells of byte b, little-endian."""
+    import numpy as np
+
     k, e0 = enc.k, enc.enc0.bits
     flip = e0 ^ enc.enc1.bits
     table = sum(e0 << (k * i) for i in range(8))  # row 0 alone
@@ -484,6 +522,8 @@ def _encoding_table(enc: Encoding) -> np.ndarray:
 def _encode_bits(table: np.ndarray, bits: int, m: int) -> int:
     """Encode the m packed cells of ``bits`` through an _encoding_table:
     cell i becomes bits k*i..k*i+k-1, so byte j becomes bytes k*j..k*j+k-1."""
+    import numpy as np
+
     cells = np.frombuffer(bits.to_bytes((m + 7) // 8, "little"), np.uint8)
     encoded = int.from_bytes(table[cells].tobytes(), "little")
     return encoded & ((1 << table.shape[1] * m) - 1)
@@ -561,6 +601,8 @@ def _close(wolfram: int, k: int, seeds: list[int], cap: int,
     generate the full algebra; absorbing one makes this closure full too,
     so it returns None at once; pass marks only with ``cap`` < 2^k.
     """
+    import numpy as np
+
     n = 1 << k
     marked = np.zeros(n, dtype=bool) if full_generators is None else full_generators
     member = np.zeros(n, dtype=bool)
@@ -648,6 +690,8 @@ def proper_subalgebra_search(g: EcaRule, k: int) -> Subalgebra | None:
     The children take 8 x 2^k words of memory; the kernel sees them in
     blocks of ``_CHUNK`` words.
     """
+    import numpy as np
+
     _check_k(k)
     n = 1 << k
     if n == 2:

@@ -26,7 +26,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import chain, pairwise
 
@@ -234,7 +233,13 @@ def compute_hierarchy(K: int, reps: list[int] | None = None, workers: int = 1,
         if cache_dir is not None:
             os.makedirs(cache_dir, exist_ok=True)
         workers = min(workers, len(tasks))  # a pool starts all its processes at once
-        pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+        pool = None
+        if workers > 1:
+            # Load numpy before the pool forks, so the workers inherit it
+            # instead of each importing it on its first task.
+            import numpy  # noqa: F401
+            from concurrent.futures import ProcessPoolExecutor
+            pool = ProcessPoolExecutor(max_workers=workers)
         try:
             results = (map(_compute_orbit, tasks) if pool is None
                        else pool.map(_compute_orbit, tasks, chunksize=4))

@@ -20,16 +20,23 @@ loops it and masks once at the end; ``_unravel_batch`` is the same call on
 an array, its lane width checked.  All unravelling in the package goes
 through these two, ~10^7 supercell operations per exhaustive search, so
 this is the package's hot path.
+
+This module never imports numpy.  A compiled step uses only the
+operators that ints and arrays share, so ``_unravel_batch`` runs on the
+arrays its callers in ``emulation`` build, and a process that evaluates
+only Python integers never loads numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
-
-import numpy as np
+from functools import cache
+from typing import TYPE_CHECKING
 
 from .words import _BITREV, Word
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # The array kernels keep a packed word of 3k cells in one uint64 lane.
 MAX_SUPERCELL_BITS = 62
@@ -292,17 +299,6 @@ def supercell_step(r: EcaRule, k: int, u: Word, v: Word, x: Word) -> Word:
             raise ValueError(f"supercell {name} has {len(word)} cells, expected {k}")
     bits = u.bits | v.bits << k | x.bits << (2 * k)
     return Word(_unravel_bits(r.wolfram, bits, 3 * k, k), k)
-
-
-@lru_cache(maxsize=16)
-def _gk_table_list(wolfram: int, k: int) -> list[int]:
-    """Full table of the size-k supercell operation, indexed by the packed
-    3k-bit concatenation, for the scalar naive scan.  A plain list:
-    single-element indexing is ~4x faster than on an ndarray.  At k = 6 a
-    table holds 2^18 entries, 2 MiB, so the 16 cached tables stay under
-    ~32 MiB."""
-    inputs = np.arange(1 << (3 * k), dtype=np.uint64)
-    return _unravel_batch(wolfram, inputs, 3 * k, k).tolist()
 
 
 def _step_bits_cyclic(wolfram: int, bits: int, n: int) -> int:

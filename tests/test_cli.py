@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import hashlib
 import io
@@ -310,7 +311,7 @@ def _refused_before_work(capsys, argv):
 @pytest.mark.parametrize("command", ["hierarchy", "classify"])
 def test_workers_are_bounded(capsys, monkeypatch, command):
     # a pool starts all its processes at once, so --workers 65 would fork 65
-    monkeypatch.setattr(hierarchy, "ProcessPoolExecutor", _refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _refuse)
     _refused_before_work(capsys, [command, "--kmax", "2", "--workers", "65"])
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -158,7 +159,7 @@ class _RecordingPool:
 
 
 def test_workers_never_outnumber_the_tasks(monkeypatch):
-    monkeypatch.setattr(hierarchy, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     serial = compute_hierarchy(2, reps=[204])
     # K = 1 on one orbit is one task: it runs in-process

@@ -16,7 +16,8 @@ from eca_emulation import (
     unravel,
     unravel_iter,
 )
-from eca_emulation.rules import MAX_SUPERCELL_BITS, _gk_table_list, _unravel_batch, _unravel_bits
+from eca_emulation.emulation import _gk_table_list
+from eca_emulation.rules import MAX_SUPERCELL_BITS, _unravel_batch, _unravel_bits
 
 
 def unravel_oracle(rule, cells):
