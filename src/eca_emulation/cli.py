@@ -224,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="space-time diagram as PBM")
     p_sim.add_argument("--rule", type=_wolfram, required=True)
-    p_sim.add_argument("--width", type=int, default=64,
+    p_sim.add_argument("--width", type=_positive, default=64,
                        help=f"cells per row without --init (default 64); "
                             f"width x (steps + 1) <= {_MAX_DIAGRAM_CELLS}")
     p_sim.add_argument("--steps", type=_at_most(int, _MAX_STEPS), default=64,

@@ -15,10 +15,10 @@ the orbit's representatives at that size, byte for byte as enumerating
 each would, and a size costs 88 enumerations instead of 136.  The chaos
 search of ``classify`` runs once per orbit and size too.
 
-Raw per-(rule, size) results are kept on the graph and in optional on-disk
-cache shards; class-level aggregation happens only at edge/report time, so
-per-member differences are never lost.  All outputs are deterministic:
-independent of worker count, chunking and dict order.
+The per-(rule, size) cells live only in the sweep and in optional on-disk
+cache shards; the graph keeps what they add up to, the edges and the
+self-similar rules, and ``classify`` reads nothing else.  All outputs are
+deterministic: independent of worker count, chunking and dict order.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, pairwise
 
 from .emulation import Encoding, EmulationWitness, emulated_rule_map, proper_subalgebra_search
@@ -89,31 +89,28 @@ class HierarchyGraph:
     """Directed graph on duality-class representatives.
 
     Construction raises ValueError unless K is a supercell size, the nodes
-    are strictly increasing duality representatives holding the
-    self-similar rules and both ends of every edge, the edges strictly
-    increase by (emulator, emulated), and no edge's kmin exceeds K.
-
-    ``raw`` maps (representative, k) to {emulated wolfram: (enc0, enc1)}
-    for every computed size; it is None on graphs loaded from JSON, which
-    carry only nodes and edges.
+    are strictly increasing duality representatives holding both ends of
+    every edge, the edges strictly increase by (emulator, emulated), the
+    self-similar rules strictly increase and each has its self edge, and no
+    edge's kmin exceeds K.
     """
 
     K: int
     nodes: tuple[int, ...]
     edges: tuple[HierarchyEdge, ...]
     self_similar: tuple[int, ...]
-    raw: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         _check_k(self.K)
         known = set(self.nodes)
         if any(a >= b for a, b in pairwise(self.nodes)) or any(rep_of(n) != n for n in known):
             raise ValueError("nodes must be strictly increasing duality representatives")
-        if not known.issuperset(self.self_similar):
-            raise ValueError("a self-similar rule is not a node")
         pairs = [(e.emulator, e.emulated) for e in self.edges]
         if any(p >= q for p, q in pairwise(pairs)) or not known.issuperset(chain(*pairs)):
             raise ValueError("edges must strictly increase by (emulator, emulated) between nodes")
+        if (any(a >= b for a, b in pairwise(self.self_similar))
+                or not set(pairs).issuperset((n, n) for n in self.self_similar)):
+            raise ValueError("self-similar rules must strictly increase and have self edges")
         if any(e.kmin > self.K for e in self.edges):
             raise ValueError(f"an edge's kmin exceeds K = {self.K}")
 
@@ -214,7 +211,7 @@ def compute_hierarchy(K: int, reps: list[int] | None = None, workers: int = 1,
         raise ValueError(f"workers {workers} < 1")
     sources = REPS if reps is None else tuple(sorted({rep_of(r) for r in reps}))
 
-    raw: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    cells: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     pending: dict[tuple[int, int], list[int]] = {}  # (orbit minimum, k) -> missing reps
     for g in sources:
         h = _orbit_min(g)
@@ -222,7 +219,7 @@ def compute_hierarchy(K: int, reps: list[int] | None = None, workers: int = 1,
             if cache_dir is not None:
                 hit = _load_shard(cache_dir, g, k)
                 if hit is not None:
-                    raw[(g, k)] = hit
+                    cells[(g, k)] = hit
                     continue
             pending.setdefault((h, k), []).append(g)
     tasks = [(h, k, tuple(missing)) for (h, k), missing in sorted(pending.items())]
@@ -243,17 +240,17 @@ def compute_hierarchy(K: int, reps: list[int] | None = None, workers: int = 1,
         try:
             results = (map(_compute_orbit, tasks) if pool is None
                        else pool.map(_compute_orbit, tasks, chunksize=4))
-            for cells in results:
-                for g, k, entries in cells:
-                    raw[(g, k)] = entries
+            for orbit_cells in results:
+                for g, k, entries in orbit_cells:
+                    cells[(g, k)] = entries
                     if cache_dir is not None:
                         _store_shard(cache_dir, g, k, entries)
         finally:
             if pool is not None:
                 pool.shutdown()
 
-    # A closed pair reports both orientations, so every cell's raw result is
-    # closed under duality and holds each emulated rule's representative.
+    # A closed pair reports both orientations, so every cell is closed under
+    # duality and holds each emulated rule's representative.
     # Sources ascend, so the edges come out in (emulator, emulated) order.
     edges = []
     self_similar = []
@@ -262,7 +259,7 @@ def compute_hierarchy(K: int, reps: list[int] | None = None, workers: int = 1,
         best: dict[int, tuple[int, int, int]] = {}
         selfsim = False
         for k in range(1, K + 1):
-            for f, e0, e1 in raw[(g, k)]:
+            for f, e0, e1 in cells[(g, k)]:
                 r = rep_of(f)
                 if f != r:
                     continue
@@ -277,16 +274,15 @@ def compute_hierarchy(K: int, reps: list[int] | None = None, workers: int = 1,
             self_similar.append(g)
 
     nodes = tuple(sorted(set(sources) | targets))
-    return HierarchyGraph(K, nodes, tuple(edges), tuple(self_similar),
-                          raw={key: tuple(val) for key, val in raw.items()})
+    return HierarchyGraph(K, nodes, tuple(edges), tuple(self_similar))
 
 
 def transitive_reduction(g: HierarchyGraph) -> HierarchyGraph:
     """Drop non-self edges implied by transitivity, in edge order;
     reachability is preserved.
 
-    Rendering aid only: kmin values of surviving edges are unchanged and
-    the raw table is dropped, so reduced graphs must not be classified.
+    Rendering aid only: surviving edges keep their kmin, but ``classify``
+    reads the dropped edges too, so classify a graph before reducing it.
     """
     succ: dict[int, set[int]] = {n: set() for n in g.nodes}
     for e in g.edges:
@@ -315,7 +311,7 @@ def transitive_reduction(g: HierarchyGraph) -> HierarchyGraph:
                 continue
             succ[a].add(b)
         kept.append(e)
-    return HierarchyGraph(g.K, g.nodes, tuple(kept), g.self_similar, raw=None)
+    return HierarchyGraph(g.K, g.nodes, tuple(kept), g.self_similar)
 
 
 @dataclass(frozen=True)
@@ -341,36 +337,39 @@ class ClassificationReport:
 
 
 def classify(g: HierarchyGraph) -> ClassificationReport:
-    """Fill the classification report from the raw results of sizes 1..K
-    (K = g.K) plus subalgebra searches.
+    """The classification report of sizes 1..K (K = g.K), read from g.K,
+    g.edges and g.self_similar, plus subalgebra searches.
 
-    memory_capable: emulates one of the memory rules (51, 170, 204, 240) at
-    some size <= K; they are self-dual, so a raw entry for one of them is
-    an edge.  zero_emulators: emulates rule 0 at some size in 2..K.
-    chaos_candidates: no proper subalgebra with >= 2 elements at any size
-    in 2..K.  emulation_counts: distinct representatives emulated at sizes
-    2..K; only the trivial size-1 self emulation is not counted, so a rule
-    that re-emulates itself at a larger size scores at least 1.
+    Size 1 yields only a rule and its dual, so every computed rule has its
+    self edge, the classified rules are the emulators, and a rule emulates
+    at sizes 2..K the targets of its non-self edges, and itself if it is
+    self-similar.  memory_capable: the rule or an edge target is a memory
+    rule (51, 170, 204, 240).  zero_emulators: rule 0 is emulated at a size
+    in 2..K.  chaos_candidates: no proper subalgebra with >= 2 elements at
+    any size in 2..K.  emulation_counts: how many representatives a rule
+    emulates at sizes 2..K, so a self-similar rule scores at least 1.
     """
-    if g.raw is None:
-        raise ValueError("classification needs raw results; imported graphs have none")
     K = g.K
+    selfsim = set(g.self_similar)
+    found: dict[int, set[int]] = {}  # emulator -> reps it emulates at sizes 2..K
+    for e in g.edges:
+        reps = found.setdefault(e.emulator, set())
+        if e.emulated != e.emulator or e.emulated in selfsim:
+            reps.add(e.emulated)
     memory_capable = []
     zero_emulators = []
     chaos_candidates = []
     counts: dict[int, int] = {}
     chaotic: dict[int, bool] = {}  # orbit minimum -> no proper subalgebra at 2..K
-    computed = sorted({gg for gg, _ in g.raw})
-    for node in computed:
-        found = {f for k in range(2, K + 1) for f, _, _ in g.raw[(node, k)]}
-        if found.union(f for f, _, _ in g.raw[(node, 1)]) & set(MEMORY_RULES):
+    for node, reps in found.items():
+        if reps.union((node,)) & set(MEMORY_RULES):
             memory_capable.append(node)
-        if 0 in found:
+        if 0 in reps:
             zero_emulators.append(node)
-        counts[node] = len({rep_of(f) for f in found})
+        counts[node] = len(reps)
         # Any emulated rule at k >= 2 is a two-element subalgebra, so the
-        # expensive search only runs for rules with empty results there.
-        if found:
+        # expensive search only runs for rules with no emulation there.
+        if reps:
             continue
         # Whether a proper subalgebra exists is the same for every rule of
         # an orbit, so each orbit is searched once, on its smallest rule.
@@ -444,9 +443,9 @@ def _export_dot(g: HierarchyGraph) -> bytes:
 
 
 def load_json(data: bytes | str) -> HierarchyGraph:
-    """Rebuild a graph from its JSON export (without raw results); any other
-    shape raises ValueError, as does a graph that breaks HierarchyGraph's
-    invariants or an edge whose witness fails."""
+    """Rebuild a graph from its JSON export, which classifies as the computed
+    graph does; any other shape raises ValueError, as does a graph that
+    breaks HierarchyGraph's invariants or an edge whose witness fails."""
     try:
         obj = json.loads(data)
         K, nodes, self_similar, edges = (obj[key] for key in ("K", "nodes", "self_similar", "edges"))
@@ -463,7 +462,7 @@ def load_json(data: bytes | str) -> HierarchyGraph:
     # built first, so every kmin is bounded by K before holds() spends ~kmin^2
     g = HierarchyGraph(K, tuple(nodes), tuple(HierarchyEdge(
         w.emulator.wolfram, w.emulated.wolfram, w.k, w.encoding.enc0, w.encoding.enc1)
-        for w in ws), tuple(self_similar), raw=None)
+        for w in ws), tuple(self_similar))
     for e, w in zip(g.edges, ws):
         if not w.holds():
             raise ValueError(f"edge {e.emulator} -> {e.emulated} has a witness that "

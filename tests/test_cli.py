@@ -83,6 +83,19 @@ def test_nonpositive_count_exit_two(capsys, command, option):
     assert len(errors) == 1 and f"argument {option}: 0 is not a positive" in errors[0]
 
 
+@pytest.mark.parametrize("width", ["0", "-5"])
+def test_nonpositive_width_exit_two(capsys, width):
+    # --width -5 used to fail inside random with "number of bits must be
+    # non-negative"; it parses like every other count now
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", "--rule", "30", "--width", width])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"argument --width: {width} is not a positive" in errors[0]
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("computation started before the arguments were checked")
 

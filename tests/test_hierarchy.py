@@ -108,13 +108,22 @@ def test_monotone_in_k(graph_k2, graph_k3):
 
 
 def test_duality_projection(graph_k3):
-    # computing per representative must agree with computing every rule
-    # and projecting the results onto classes
+    # computing per representative, one task per orbit as the sweep groups
+    # them, must agree with computing every rule and projecting the results
+    # onto classes; the first size at which a class shows is its edge's kmin
+    orbits = {}
+    for g in hierarchy.REPS:
+        orbits.setdefault(hierarchy._orbit_min(g), []).append(g)
+    cells = {(g, k): entries for h, reps in orbits.items() for k in (1, 2, 3)
+             for g, k, entries in hierarchy._compute_orbit((h, k, tuple(reps)))}
     for g in range(256):
+        kmin = {}
         for k in (1, 2, 3):
             projected = {rep_of(f) for f in emulated_rule_map(rule_from_wolfram(g), k)}
-            raw = graph_k3.raw[(rep_of(g), k)]
-            assert projected == {rep_of(f) for f, _, _ in raw}
+            assert projected == {rep_of(f) for f, _, _ in cells[(rep_of(g), k)]}
+            for r in projected:
+                kmin.setdefault(r, k)
+        assert {e.emulated: e.kmin for e in graph_k3.edges_from(rep_of(g))} == kmin
 
 
 def test_subset_computation():
@@ -241,7 +250,7 @@ def test_cache_misshapen_shard_is_a_miss(tmp_path, text):
     g = compute_hierarchy(1, reps=[0], cache_dir=str(cache))
     assert g.edge(0, 0) is not None
     # the recomputed cell replaced the bad shard
-    assert _load_shard(str(cache), 0, 1) == list(g.raw[(0, 1)])
+    assert [(0, 1, _load_shard(str(cache), 0, 1))] == hierarchy._compute_orbit((0, 1, (0,)))
 
 
 def test_cache_write_leaves_stale_temp_alone(tmp_path):
@@ -249,9 +258,9 @@ def test_cache_write_leaves_stale_temp_alone(tmp_path):
     cache.mkdir()
     stale = cache / "rule000_k01.json.tmp"
     stale.write_text("half a shard from another run")
-    g = compute_hierarchy(1, reps=[0], cache_dir=str(cache))
+    compute_hierarchy(1, reps=[0], cache_dir=str(cache))
     assert stale.read_text() == "half a shard from another run"
-    assert _load_shard(str(cache), 0, 1) == list(g.raw[(0, 1)])
+    assert [(0, 1, _load_shard(str(cache), 0, 1))] == hierarchy._compute_orbit((0, 1, (0,)))
     assert sorted(p.name for p in cache.iterdir()) == ["rule000_k01.json",
                                                        "rule000_k01.json.tmp"]
 
@@ -333,7 +342,7 @@ def _edge(a, b, k=1):
 def mkgraph(edges, nodes=None):
     es = tuple(_edge(a, b) for a, b in sorted(edges))
     ns = tuple(sorted(nodes or {n for e in edges for n in e}))
-    return HierarchyGraph(1, ns, es, (), raw=None)
+    return HierarchyGraph(1, ns, es, ())
 
 
 @pytest.mark.parametrize("K, nodes, edges, self_similar", [
@@ -343,11 +352,16 @@ def mkgraph(edges, nodes=None):
     (1, (1, 255), (), ()),
     (1, (2, 1), (), ()),
     (1, (1, 2), (), (3,)),
+    (1, (1, 2), (_edge(1, 1), _edge(2, 2)), (2, 1)),
+    (1, (1, 2), (_edge(1, 1), _edge(2, 2)), (1, 1)),
+    (1, (1, 2), (_edge(1, 1), _edge(1, 2)), (2,)),
     (1, (1, 2), (_edge(1, 2, k=2),), ()),
     (0, (), (), ()),
     (21, (), (), ()),
 ], ids=["edge-end-not-a-node", "edges-out-of-order", "repeated-pair", "non-representative-node",
-        "unsorted-nodes", "self-similar-not-a-node", "kmin-past-K", "K-zero", "K-past-limit"])
+        "unsorted-nodes", "self-similar-not-a-node", "self-similar-unsorted",
+        "self-similar-repeated", "self-similar-without-self-edge", "kmin-past-K", "K-zero",
+        "K-past-limit"])
 def test_graph_checks_its_invariants(K, nodes, edges, self_similar):
     # unchecked, the first graph's reduction raised KeyError and its DOT
     # export drew an edge to the undeclared node r3
@@ -423,10 +437,17 @@ def test_classify_small(graph_k2):
     assert classify(compute_hierarchy(1, reps=[30, 204])).memory_capable == (204,)
 
 
-def test_classify_requires_raw(graph_k2):
-    imported = load_json(export(graph_k2, "json"))
-    with pytest.raises(ValueError):
-        classify(imported)
+def test_classify_reads_an_export_as_the_computed_graph(graph_k3):
+    assert classify(load_json(export(graph_k3, "json"))) == classify(graph_k3)
+
+
+def test_classify_reads_a_restricted_export_as_the_computed_graph():
+    # 149 canonicalizes to 86; the nodes 176 and 184 are only edge targets
+    g = compute_hierarchy(3, reps=[148, 149])
+    assert g.nodes == (86, 148, 176, 184)
+    report = classify(g)
+    assert sorted(report.emulation_counts) == [86, 148]
+    assert classify(load_json(export(g, "json"))) == report
 
 
 # --- serialization --------------------------------------------------------
@@ -441,7 +462,7 @@ def test_csv_export(graph_k2):
 
 
 def test_csv_header_only_for_empty_graph():
-    g = HierarchyGraph(1, (), (), (), raw={})
+    g = HierarchyGraph(1, (), (), ())
     assert export(g, "csv") == b"emulator,emulated,kmin\n"
 
 
@@ -473,9 +494,14 @@ _EDGE = {"from": 0, "to": 0, "kmin": 1, "enc0": "0", "enc1": "1"}
      "edges": [dict(_EDGE, kmin=2, enc0="00", enc1="11")]},
     {"K": 1, "nodes": [0, 1], "self_similar": [],
      "edges": [dict(_EDGE, **{"from": 1, "to": 1}), _EDGE]},
+    {"K": 1, "nodes": [0, 1], "self_similar": [1, 0],
+     "edges": [_EDGE, dict(_EDGE, **{"from": 1, "to": 1})]},
+    {"K": 1, "nodes": [0], "self_similar": [0, 0], "edges": [_EDGE]},
+    {"K": 1, "nodes": [0, 1], "self_similar": [1], "edges": [_EDGE]},
 ], ids=["missing-key", "list", "kmin-vs-codes", "node-text", "float-K", "rule-256",
         "edges-dict", "bool-rule", "kmin-past-K", "equal-codes", "code-text", "edge-list",
-        "valid-witness-past-K", "edges-out-of-order"])
+        "valid-witness-past-K", "edges-out-of-order", "self-similar-unsorted",
+        "self-similar-repeated", "self-similar-without-self-edge"])
 def test_load_json_rejects_malformed_documents(doc):
     with pytest.raises(ValueError):
         load_json(json.dumps(doc))
