@@ -298,7 +298,8 @@ def _pattern_classes(wolfram: int) -> tuple[np.uint16, np.uint16,
 
 def _closed_pairs(wolfram: int, k: int, diag: np.ndarray
                   ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The pairs {u, v} (u < v) closed under the supercell operation.
+    """The pairs {u, v} (u < v) closed under the supercell operation, in
+    both orientations.
 
     ``diag`` is the diagonal map ``_diagonal_map(wolfram, k)``.
 
@@ -306,7 +307,9 @@ def _closed_pairs(wolfram: int, k: int, diag: np.ndarray
     (u, v) and every pair of a chunk precedes every pair of the next.
     W[j] is the rule induced by the orientation (enc0, enc1) = (U[j], V[j]):
     bit i is set when selection pattern i (i = 4*s1 + 2*s2 + s3, selecting
-    v where the pattern bit is 1) evaluates to v.
+    v where the pattern bit is 1) evaluates to v.  Each such chunk is
+    followed at once by its swapped chunk (V, U, dual[W]), as swapping the
+    orientation induces the dual rule; no other code swaps a pair.
 
     The constant patterns (000, 111) prune the candidates without touching
     the pair space: a closed pair either consists of two diagonal fixed
@@ -334,6 +337,7 @@ def _closed_pairs(wolfram: int, k: int, diag: np.ndarray
     n = 1 << k
     sk = np.uint64(k)
     to_u, to_v, evaluated = _pattern_classes(wolfram)
+    dual = np.array(_DUAL, dtype=np.uint16)
     elems = np.arange(n, dtype=np.uint64)
     moved = diag != elems
     fix = elems[~moved]
@@ -371,17 +375,16 @@ def _closed_pairs(wolfram: int, k: int, diag: np.ndarray
             u, v, w = u[keep], v[keep], w[keep]
         if len(u):
             yield u, v, w
+            yield v, u, dual[w]
 
 
 def emulated_rules(g: EcaRule, k: int) -> list[tuple[EcaRule, Encoding]]:
     """All rules f with f <=_k g, each with a witnessing encoding.
 
-    Every closed pair is reported in both orientations, and swapping the
-    orientation induces the dual rule, so the result is closed under
-    duality.  Entries are sorted by (wolfram, enc0, enc1).  No entry
-    repeats: the closed pairs are distinct, the first orientation has
-    enc0 < enc1 and the second enc0 > enc1.  Permissive rules at large k
-    can admit millions of closed pairs; use emulated_rule_map when only
+    Every closed pair is reported in both orientations (``_closed_pairs``),
+    so the result is closed under duality.  Entries are sorted by
+    (wolfram, enc0, enc1), and no entry repeats.  Permissive rules at large
+    k can admit millions of closed pairs; use emulated_rule_map when only
     the set of rules and one witness per rule are needed.
     """
     import numpy as np
@@ -390,10 +393,7 @@ def emulated_rules(g: EcaRule, k: int) -> list[tuple[EcaRule, Encoding]]:
     chunks = list(_closed_pairs(g.wolfram, k, _diagonal_map(g.wolfram, k)))
     if not chunks:
         return []
-    U, V, W = (np.concatenate(c) for c in zip(*chunks))
-    wol = np.concatenate([W, np.array(_DUAL, dtype=np.uint16)[W]])
-    e0 = np.concatenate([U, V])
-    e1 = np.concatenate([V, U])
+    e0, e1, wol = (np.concatenate(c) for c in zip(*chunks))
     order = np.lexsort((e1, e0, wol))
     return [(rule_from_wolfram(f), Encoding(k, Word(a, k), Word(b, k)))
             for f, a, b in zip(wol[order].tolist(), e0[order].tolist(), e1[order].tolist())]
@@ -404,9 +404,9 @@ def emulated_rule_map(g: EcaRule, k: int, targets=None) -> dict:
 
     Same relation as emulated_rules, aggregated: for every f with f <=_k g
     the value is the scan-order-minimal (enc0, enc1) pair, i.e. the first
-    entry for f in emulated_rules.  Each chunk of closed pairs is folded
-    into a per-rule minimum of enc0 << k | enc1 over both orientations, so
-    memory stays flat in k and the map has at most 256 entries.
+    entry for f in emulated_rules.  Each chunk of oriented closed pairs is
+    folded into a per-rule minimum of enc0 << k | enc1, so memory stays
+    flat in k; the map has at most 256 entries per target, in ascending f.
 
     ``targets``, a sequence of rules in g's orbit under mirror and dual,
     asks for the maps of all of them from g's one enumeration; the result
@@ -424,7 +424,7 @@ def emulated_rule_map(g: EcaRule, k: int, targets=None) -> dict:
     n = 1 << k
     none = np.iinfo(np.uint64).max
     sk = np.uint64(k)
-    dual_arr, mirror_arr = (np.array(m, dtype=np.uint16) for m in (_DUAL, _MIRROR))
+    mirror_arr = np.array(_MIRROR, dtype=np.uint16)
     orbit = _conjugates(g.wolfram)
     folds = []  # (t, per-rule minimum, supercell map or None, mirrored)
     for t in (g.wolfram,) if targets is None else targets:
@@ -444,9 +444,7 @@ def emulated_rule_map(g: EcaRule, k: int, targets=None) -> dict:
         for _, best, cells, mirrored in folds:
             a, b = (u, v) if cells is None else (cells[u.astype(np.int64)],
                                                  cells[v.astype(np.int64)])
-            f = mirror_arr[w] if mirrored else w
-            np.minimum.at(best, f, a << sk | b)
-            np.minimum.at(best, dual_arr[f], b << sk | a)
+            np.minimum.at(best, mirror_arr[w] if mirrored else w, a << sk | b)
     mask = n - 1
     return {f if targets is None else (t, f): Encoding(k, Word(key >> k, k), Word(key & mask, k))
             for t, best, _, _ in folds for f, key in enumerate(best.tolist()) if key != none}

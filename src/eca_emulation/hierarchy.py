@@ -91,8 +91,9 @@ class HierarchyGraph:
     Construction raises ValueError unless K is a supercell size, the nodes
     are strictly increasing duality representatives holding both ends of
     every edge, the edges strictly increase by (emulator, emulated), the
-    self-similar rules strictly increase and each has its self edge, and no
-    edge's kmin exceeds K.
+    self-similar rules strictly increase, each has its self edge and there
+    are none below K = 2, and every edge's kmin is at most K, with two
+    distinct codes of kmin cells.
     """
 
     K: int
@@ -111,8 +112,12 @@ class HierarchyGraph:
         if (any(a >= b for a, b in pairwise(self.self_similar))
                 or not set(pairs).issuperset((n, n) for n in self.self_similar)):
             raise ValueError("self-similar rules must strictly increase and have self edges")
+        if self.self_similar and self.K < 2:
+            raise ValueError("no rule is self-similar below K = 2")
         if any(e.kmin > self.K for e in self.edges):
             raise ValueError(f"an edge's kmin exceeds K = {self.K}")
+        for e in self.edges:
+            Encoding(e.kmin, e.enc0, e.enc1)  # raises unless two distinct kmin-cell codes
 
     def edge(self, emulator: int, emulated: int) -> HierarchyEdge | None:
         for e in self.edges:
@@ -135,10 +140,10 @@ def _orbit_min(g: int) -> int:
 def _compute_orbit(args: tuple[int, int, tuple[int, ...]]
                    ) -> list[tuple[int, int, list[tuple[int, int, int]]]]:
     """The cells (t, k) of the representatives t of one orbit, from one
-    enumeration of the orbit's smallest rule h."""
+    enumeration of the orbit's smallest rule h, each in ascending f."""
     h, k, targets = args
     m = emulated_rule_map(rule_from_wolfram(h), k, targets)
-    return [(t, k, sorted((f, e.enc0.bits, e.enc1.bits) for (s, f), e in m.items() if s == t))
+    return [(t, k, [(f, e.enc0.bits, e.enc1.bits) for (s, f), e in m.items() if s == t])
             for t in targets]
 
 
@@ -250,30 +255,25 @@ def compute_hierarchy(K: int, reps: list[int] | None = None, workers: int = 1,
                 pool.shutdown()
 
     # A closed pair reports both orientations, so every cell is closed under
-    # duality and holds each emulated rule's representative.
-    # Sources ascend, so the edges come out in (emulator, emulated) order.
+    # duality and holds each emulated rule's representative.  Sources
+    # ascend, so the edges come out in (emulator, emulated) order, and each
+    # has its size-1 self edge, so the edges' targets are all the nodes.
     edges = []
     self_similar = []
-    targets: set[int] = set()
     for g in sources:
         best: dict[int, tuple[int, int, int]] = {}
         selfsim = False
         for k in range(1, K + 1):
             for f, e0, e1 in cells[(g, k)]:
-                r = rep_of(f)
-                if f != r:
-                    continue
-                if r not in best:
-                    best[r] = (k, e0, e1)
-                if r == g and k >= 2:
-                    selfsim = True
-        for r, (k, e0, e1) in sorted(best.items()):
-            edges.append(HierarchyEdge(g, r, k, Word(e0, k), Word(e1, k)))
-            targets.add(r)
+                if f == rep_of(f):
+                    best.setdefault(f, (k, e0, e1))
+                    selfsim |= f == g and k >= 2
+        for f, (k, e0, e1) in sorted(best.items()):
+            edges.append(HierarchyEdge(g, f, k, Word(e0, k), Word(e1, k)))
         if selfsim:
             self_similar.append(g)
 
-    nodes = tuple(sorted(set(sources) | targets))
+    nodes = tuple(sorted({e.emulated for e in edges}))
     return HierarchyGraph(K, nodes, tuple(edges), tuple(self_similar))
 
 

@@ -318,10 +318,17 @@ def _closed_pairs_all_patterns(g, k):
 
 
 def test_closed_pairs_match_evaluating_every_pattern():
+    # the scan-order chunks (U, V, W) hold the closed pairs, and each is
+    # followed by its swapped chunk (V, U, dual[W]) over the same arrays
+    duals = np.array([dual(R(f)).wolfram for f in range(256)])
     for k in range(1, 8):
         for g in range(256):
             chunks = list(emulation._closed_pairs(g, k, emulation._diagonal_map(g, k)))
-            got = [np.concatenate(c) for c in zip(*chunks)] if chunks else [[], [], []]
+            assert len(chunks) % 2 == 0, (g, k)
+            for (u, v, w), (su, sv, sw) in zip(chunks[::2], chunks[1::2]):
+                assert su is v and sv is u and np.array_equal(sw, duals[w]), (g, k)
+            scan = chunks[::2]
+            got = [np.concatenate(c) for c in zip(*scan)] if scan else [[], [], []]
             for a, b in zip(got, _closed_pairs_all_patterns(g, k)):
                 assert np.array_equal(a, b), (g, k)
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from eca_emulation import (
@@ -28,7 +29,12 @@ from eca_emulation.hierarchy import (
     _load_shard,
     _store_shard,
 )
+from eca_emulation.rules import _unravel_batch
 from eca_emulation.words import Word
+
+needs_extended = pytest.mark.skipif(
+    os.environ.get("ECA_EMULATION_EXTENDED") != "1",
+    reason="set ECA_EMULATION_EXTENDED=1 for the full-depth runs")
 
 
 @pytest.fixture(scope="module")
@@ -107,15 +113,27 @@ def test_monotone_in_k(graph_k2, graph_k3):
         assert pairs3[key] <= kmin
 
 
+def _orbits():
+    """The representatives grouped by mirror/dual orbit, keyed by the
+    orbit's smallest rule, as the sweep groups them."""
+    orbits = {}
+    for g in hierarchy.REPS:
+        orbits.setdefault(hierarchy._orbit_min(g), []).append(g)
+    return orbits
+
+
+def _sweep_cells(k):
+    """The sweep's cell of every representative at size k, one orbit task
+    per orbit."""
+    return {g: entries for h, reps in _orbits().items()
+            for g, _, entries in hierarchy._compute_orbit((h, k, tuple(reps)))}
+
+
 def test_duality_projection(graph_k3):
     # computing per representative, one task per orbit as the sweep groups
     # them, must agree with computing every rule and projecting the results
     # onto classes; the first size at which a class shows is its edge's kmin
-    orbits = {}
-    for g in hierarchy.REPS:
-        orbits.setdefault(hierarchy._orbit_min(g), []).append(g)
-    cells = {(g, k): entries for h, reps in orbits.items() for k in (1, 2, 3)
-             for g, k, entries in hierarchy._compute_orbit((h, k, tuple(reps)))}
+    cells = {(g, k): entries for k in (1, 2, 3) for g, entries in _sweep_cells(k).items()}
     for g in range(256):
         kmin = {}
         for k in (1, 2, 3):
@@ -318,9 +336,7 @@ def test_interrupted_parallel_sweep_keeps_finished_shards(tmp_path, monkeypatch)
 def test_orbit_tasks_cover_every_representative_once():
     # 136 representatives fall into 88 mirror/dual orbits, 48 of them with
     # two representatives; each orbit's smallest rule is a representative
-    orbits = {}
-    for g in hierarchy.REPS:
-        orbits.setdefault(hierarchy._orbit_min(g), []).append(g)
+    orbits = _orbits()
     assert len(orbits) == 88
     assert sum(len(reps) == 2 for reps in orbits.values()) == 48
     assert all(h in hierarchy.REPS and h <= min(reps) for h, reps in orbits.items())
@@ -331,6 +347,44 @@ def test_orbit_task_matches_direct_cells():
     for h, k, reps in [(170, 6, (170, 240)), (30, 5, (86,)), (2, 4, (2, 16))]:
         assert _real_compute_orbit((h, k, reps)) == [
             (g, k, _direct_cell(g, k)) for g in reps]
+
+
+def _pair_space_cell(g, k):
+    """Rule g's cell at size k from the pair space alone: no prefilter, no
+    aliased patterns, no orbit fold.  Every pair u < v runs, in chunks,
+    through the eight selection patterns and is dropped once a product
+    leaves {u, v}.  Pattern i = 4*s1 + 2*s2 + s3 puts v in block j where
+    s_j = 1 and u elsewhere, block 1 in the lowest cells.  A closed pair
+    induces, as (enc0, enc1) = (u, v), the rule whose bit i says pattern i
+    gives v, and as (v, u) the rule whose bit 7 - i says pattern i gives u.
+    Each rule keeps its scan-order-minimal orientation."""
+    n, sk, chunk = 1 << k, np.uint64(k), 1 << 16
+    none = np.iinfo(np.uint64).max
+    best = np.full(256, none, dtype=np.uint64)
+    for lo in range(0, n * n, chunk):
+        p = np.arange(lo, min(lo + chunk, n * n), dtype=np.uint64)
+        u, v = p >> sk, p & np.uint64(n - 1)
+        u, v = u[u < v], v[u < v]
+        as_uv, as_vu = np.zeros((2, len(u)), dtype=np.int64)
+        for i in range(8):
+            x, y, z = (v if i >> s & 1 else u for s in (2, 1, 0))
+            r = _unravel_batch(g, x | y << sk | z << np.uint64(2 * k), 3 * k, k)
+            as_uv = as_uv | (r == v).astype(np.int64) << i
+            as_vu = as_vu | (r == u).astype(np.int64) << (7 - i)
+            keep = (r == u) | (r == v)
+            u, v, as_uv, as_vu = u[keep], v[keep], as_uv[keep], as_vu[keep]
+        np.minimum.at(best, as_uv, u << sk | v)
+        np.minimum.at(best, as_vu, v << sk | u)
+    return [(f, key >> k, key & (n - 1)) for f, key in enumerate(best.tolist()) if key != none]
+
+
+@pytest.mark.parametrize("k", [9, pytest.param(11, marks=needs_extended, id="extended-11")])
+def test_sweep_cells_match_the_pair_space_oracle(k):
+    # the sweep's fast paths (diagonal prefilter, read-set pattern aliasing,
+    # orbit fold, swapped chunks) against a scan of every pair
+    cells = _sweep_cells(k)
+    wrong = [g for g in hierarchy.REPS if cells[g] != _pair_space_cell(g, k)]
+    assert wrong == []
 
 
 # --- transitive reduction ------------------------------------------------
@@ -358,10 +412,13 @@ def mkgraph(edges, nodes=None):
     (1, (1, 2), (_edge(1, 2, k=2),), ()),
     (0, (), (), ()),
     (21, (), (), ()),
+    (1, (1,), (_edge(1, 1),), (1,)),
+    (2, (30,), (HierarchyEdge(30, 30, 2, Word(0, 3), Word(1, 3)),), ()),
+    (1, (30,), (HierarchyEdge(30, 30, 1, Word(1, 1), Word(1, 1)),), ()),
 ], ids=["edge-end-not-a-node", "edges-out-of-order", "repeated-pair", "non-representative-node",
         "unsorted-nodes", "self-similar-not-a-node", "self-similar-unsorted",
         "self-similar-repeated", "self-similar-without-self-edge", "kmin-past-K", "K-zero",
-        "K-past-limit"])
+        "K-past-limit", "self-similar-below-K-2", "codes-not-kmin-cells", "equal-codes"])
 def test_graph_checks_its_invariants(K, nodes, edges, self_similar):
     # unchecked, the first graph's reduction raised KeyError and its DOT
     # export drew an edge to the undeclared node r3
@@ -528,6 +585,8 @@ _SELF_226 = {"from": 226, "to": 226, "kmin": 1, "enc0": "0", "enc1": "1"}
     pytest.param(lambda doc: doc.update(nodes=doc["nodes"][::-1]), id="unsorted-nodes"),
     pytest.param(lambda doc: doc["nodes"].append(240), id="repeated-node"),
     pytest.param(lambda doc: doc.update(self_similar=[30]), id="self-similar-outside-nodes"),
+    pytest.param(lambda doc: doc.update(K=1, self_similar=[184], edges=[
+        e for e in doc["edges"] if e["kmin"] == 1]), id="self-similar-below-K-2"),
 ])
 def test_load_json_rechecks_what_an_export_claims(spoil):
     # each spoiled export keeps the shape load_json parses
