@@ -15,8 +15,8 @@ print(f"size bound 3: {len(graph.nodes)} class representatives, "
 print("self-similar so far:", graph.self_similar)
 
 edge = graph.edge(148, 184)
-print(f"edge 148 -> 184: kmin={edge.kmin}, "
-      f"enc0={edge.enc0.text}, enc1={edge.enc1.text}")
+print(f"edge 148 -> 184: kmin={edge.k}, "
+      f"enc0={edge.encoding.enc0.text}, enc1={edge.encoding.enc1.text}")
 
 reduced = transitive_reduction(graph)
 print(f"after transitive reduction: {len(reduced.edges)} edges")

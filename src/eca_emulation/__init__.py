@@ -24,7 +24,6 @@ from .emulation import (
 from .hierarchy import (
     ClassificationReport,
     DualityClass,
-    HierarchyEdge,
     HierarchyGraph,
     classify,
     compute_hierarchy,
@@ -58,7 +57,6 @@ __all__ = [
     "EcaRule",
     "EmulationWitness",
     "Encoding",
-    "HierarchyEdge",
     "HierarchyGraph",
     "Subalgebra",
     "Word",

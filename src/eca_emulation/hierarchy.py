@@ -3,9 +3,10 @@
 A rule and its dual emulate (and are emulated by) exactly the same rules,
 so the 256 rules fall into 136 duality classes and the hierarchy is
 computed per class representative (the smaller Wolfram number).  An edge
-(emulator -> emulated, kmin) records the smallest supercell size in
-1..K at which the emulated representative's class is reproduced inside the
-emulator's supercell algebra, together with a minimal witnessing encoding.
+is the minimal witness emulated <=_kmin emulator: an ``EmulationWitness``
+at the smallest supercell size kmin in 1..K at which the emulated
+representative's class is reproduced inside the emulator's supercell
+algebra, with the scan-order-minimal encoding at that size.
 
 Mirror and dual carry the closed pairs of a rule one-to-one onto those of
 its conjugates (see ``emulated_rule_map``), so a sweep takes the 136
@@ -67,24 +68,6 @@ def dual_classes() -> list[DualityClass]:
 
 
 @dataclass(frozen=True)
-class HierarchyEdge:
-    """emulated <=_kmin emulator, with a minimal witnessing encoding."""
-
-    emulator: int
-    emulated: int
-    kmin: int
-    enc0: Word
-    enc1: Word
-
-    def witness(self) -> EmulationWitness:
-        """The witness at the edge's stated size kmin; codes of any other
-        length raise ValueError."""
-        return EmulationWitness(rule_from_wolfram(self.emulated),
-                                rule_from_wolfram(self.emulator), self.kmin,
-                                Encoding(self.kmin, self.enc0, self.enc1))
-
-
-@dataclass(frozen=True)
 class HierarchyGraph:
     """Directed graph on duality-class representatives.
 
@@ -92,13 +75,12 @@ class HierarchyGraph:
     are strictly increasing duality representatives holding both ends of
     every edge, the edges strictly increase by (emulator, emulated), the
     self-similar rules strictly increase, each has its self edge and there
-    are none below K = 2, and every edge's kmin is at most K, with two
-    distinct codes of kmin cells.
+    are none below K = 2, and every edge's size (its kmin) is at most K.
     """
 
     K: int
     nodes: tuple[int, ...]
-    edges: tuple[HierarchyEdge, ...]
+    edges: tuple[EmulationWitness, ...]
     self_similar: tuple[int, ...]
 
     def __post_init__(self):
@@ -106,7 +88,7 @@ class HierarchyGraph:
         known = set(self.nodes)
         if any(a >= b for a, b in pairwise(self.nodes)) or any(rep_of(n) != n for n in known):
             raise ValueError("nodes must be strictly increasing duality representatives")
-        pairs = [(e.emulator, e.emulated) for e in self.edges]
+        pairs = [(e.emulator.wolfram, e.emulated.wolfram) for e in self.edges]
         if any(p >= q for p, q in pairwise(pairs)) or not known.issuperset(chain(*pairs)):
             raise ValueError("edges must strictly increase by (emulator, emulated) between nodes")
         if (any(a >= b for a, b in pairwise(self.self_similar))
@@ -114,22 +96,20 @@ class HierarchyGraph:
             raise ValueError("self-similar rules must strictly increase and have self edges")
         if self.self_similar and self.K < 2:
             raise ValueError("no rule is self-similar below K = 2")
-        if any(e.kmin > self.K for e in self.edges):
+        if any(e.k > self.K for e in self.edges):
             raise ValueError(f"an edge's kmin exceeds K = {self.K}")
-        for e in self.edges:
-            Encoding(e.kmin, e.enc0, e.enc1)  # raises unless two distinct kmin-cell codes
 
-    def edge(self, emulator: int, emulated: int) -> HierarchyEdge | None:
+    def edge(self, emulator: int, emulated: int) -> EmulationWitness | None:
         for e in self.edges:
-            if e.emulator == emulator and e.emulated == emulated:
+            if e.emulator.wolfram == emulator and e.emulated.wolfram == emulated:
                 return e
         return None
 
-    def edges_from(self, emulator: int) -> list[HierarchyEdge]:
-        return [e for e in self.edges if e.emulator == emulator]
+    def edges_from(self, emulator: int) -> list[EmulationWitness]:
+        return [e for e in self.edges if e.emulator.wolfram == emulator]
 
-    def edges_to(self, emulated: int) -> list[HierarchyEdge]:
-        return [e for e in self.edges if e.emulated == emulated]
+    def edges_to(self, emulated: int) -> list[EmulationWitness]:
+        return [e for e in self.edges if e.emulated.wolfram == emulated]
 
 
 def _orbit_min(g: int) -> int:
@@ -269,11 +249,12 @@ def compute_hierarchy(K: int, reps: list[int] | None = None, workers: int = 1,
                     best.setdefault(f, (k, e0, e1))
                     selfsim |= f == g and k >= 2
         for f, (k, e0, e1) in sorted(best.items()):
-            edges.append(HierarchyEdge(g, f, k, Word(e0, k), Word(e1, k)))
+            edges.append(EmulationWitness(rule_from_wolfram(f), rule_from_wolfram(g), k,
+                                          Encoding(k, Word(e0, k), Word(e1, k))))
         if selfsim:
             self_similar.append(g)
 
-    nodes = tuple(sorted({e.emulated for e in edges}))
+    nodes = tuple(sorted({e.emulated.wolfram for e in edges}))
     return HierarchyGraph(K, nodes, tuple(edges), tuple(self_similar))
 
 
@@ -287,7 +268,7 @@ def transitive_reduction(g: HierarchyGraph) -> HierarchyGraph:
     succ: dict[int, set[int]] = {n: set() for n in g.nodes}
     for e in g.edges:
         if e.emulator != e.emulated:
-            succ[e.emulator].add(e.emulated)
+            succ[e.emulator.wolfram].add(e.emulated.wolfram)
 
     def reachable(src: int, dst: int) -> bool:
         stack = [src]
@@ -304,7 +285,7 @@ def transitive_reduction(g: HierarchyGraph) -> HierarchyGraph:
 
     kept = []
     for e in g.edges:
-        a, b = e.emulator, e.emulated
+        a, b = e.emulator.wolfram, e.emulated.wolfram
         if a != b:
             succ[a].discard(b)
             if reachable(a, b):
@@ -353,9 +334,9 @@ def classify(g: HierarchyGraph) -> ClassificationReport:
     selfsim = set(g.self_similar)
     found: dict[int, set[int]] = {}  # emulator -> reps it emulates at sizes 2..K
     for e in g.edges:
-        reps = found.setdefault(e.emulator, set())
-        if e.emulated != e.emulator or e.emulated in selfsim:
-            reps.add(e.emulated)
+        reps = found.setdefault(e.emulator.wolfram, set())
+        if e.emulated != e.emulator or e.emulated.wolfram in selfsim:
+            reps.add(e.emulated.wolfram)
     memory_capable = []
     zero_emulators = []
     chaos_candidates = []
@@ -408,7 +389,7 @@ def export(g: HierarchyGraph, format: str) -> bytes:
 def _export_csv(g: HierarchyGraph) -> bytes:
     lines = ["emulator,emulated,kmin"]
     for e in g.edges:
-        lines.append(f"{e.emulator},{e.emulated},{e.kmin}")
+        lines.append(f"{e.emulator.wolfram},{e.emulated.wolfram},{e.k}")
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
@@ -418,8 +399,8 @@ def _export_json(g: HierarchyGraph) -> bytes:
         "nodes": list(g.nodes),
         "self_similar": list(g.self_similar),
         "edges": [
-            {"from": e.emulator, "to": e.emulated, "kmin": e.kmin,
-             "enc0": e.enc0.text, "enc1": e.enc1.text}
+            {"from": e.emulator.wolfram, "to": e.emulated.wolfram, "kmin": e.k,
+             "enc0": e.encoding.enc0.text, "enc1": e.encoding.enc1.text}
             for e in g.edges
         ],
     }
@@ -437,7 +418,7 @@ def _export_dot(g: HierarchyGraph) -> bytes:
     for e in g.edges:
         if e.emulator == e.emulated:
             continue
-        lines.append(f'  r{e.emulator} -> r{e.emulated} [label="k={e.kmin}"];')
+        lines.append(f'  r{e.emulator.wolfram} -> r{e.emulated.wolfram} [label="k={e.k}"];')
     lines.append("}")
     return ("\n".join(lines) + "\n").encode("ascii")
 
@@ -452,19 +433,17 @@ def load_json(data: bytes | str) -> HierarchyGraph:
         if not (type(K) is int and type(nodes) is type(self_similar) is type(edges) is list
                 and all(type(n) is int and 0 <= n <= 255 for n in nodes + self_similar)):
             raise ValueError("hierarchy needs an integer K and lists of rules and edges")
-        ws = [EmulationWitness.from_json_dict({"f": e["to"], "g": e["from"], "k": e["kmin"],
-                                               "enc0": e["enc0"], "enc1": e["enc1"]})
-              for e in edges]
+        ws = tuple(EmulationWitness.from_json_dict({"f": e["to"], "g": e["from"], "k": e["kmin"],
+                                                    "enc0": e["enc0"], "enc1": e["enc1"]})
+                   for e in edges)
     except RecursionError:
         raise ValueError("hierarchy document is nested too deeply") from None
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed hierarchy document: {exc!r}") from None
     # built first, so every kmin is bounded by K before holds() spends ~kmin^2
-    g = HierarchyGraph(K, tuple(nodes), tuple(HierarchyEdge(
-        w.emulator.wolfram, w.emulated.wolfram, w.k, w.encoding.enc0, w.encoding.enc1)
-        for w in ws), tuple(self_similar))
-    for e, w in zip(g.edges, ws):
-        if not w.holds():
-            raise ValueError(f"edge {e.emulator} -> {e.emulated} has a witness that "
-                             "fails the emulation equations")
+    g = HierarchyGraph(K, tuple(nodes), ws, tuple(self_similar))
+    for e in g.edges:
+        if not e.holds():
+            raise ValueError(f"edge {e.emulator.wolfram} -> {e.emulated.wolfram} has a "
+                             "witness that fails the emulation equations")
     return g

@@ -194,11 +194,11 @@ def test_criterion_07_frequently_emulated_soundness(graph_k8):
     violations = {}
     for target, box in EMULATOR_BOX.items():
         box_reps = {rep_of(n) for n in box}
-        emulators = {e.emulator for e in graph_k8.edges_to(rep_of(target))}
+        emulators = {e.emulator.wolfram for e in graph_k8.edges_to(rep_of(target))}
         extra = emulators - box_reps
         if extra:
             violations[target] = sorted(extra)
-    zero_edges = {e.emulator for e in graph_k8.edges_to(0) if e.kmin >= 2}
+    zero_edges = {e.emulator.wolfram for e in graph_k8.edges_to(0) if e.k >= 2}
     dashed = {rep_of(n) for n in NOT_ZERO_CAPABLE}
     bad_zero = zero_edges & dashed
     ok = not violations and not bad_zero
@@ -217,12 +217,12 @@ def test_criterion_07_extended_equality():
     # none of 51/204/170/240 up to size 11.  Both decision procedures here
     # side with the latter (22 emulates 146/90/0 only), so the corrected
     # set drops that one entry; everything else must match exactly.
-    assert not {e.emulated for e in graph.edges_from(rep_of(22))} \
+    assert not {e.emulated.wolfram for e in graph.edges_from(rep_of(22))} \
         & {51, 170, 204, 240}
     wrong = {}
     for target, box in EMULATOR_BOX.items():
         expected = {rep_of(n) for n in box} - ({rep_of(22)} if target == 204 else set())
-        emulators = {e.emulator for e in graph.edges_to(rep_of(target))}
+        emulators = {e.emulator.wolfram for e in graph.edges_to(rep_of(target))}
         if emulators != expected:
             wrong[target] = (sorted(emulators - expected), sorted(expected - emulators))
     report(7, "extended: emulator sets at size 11 match the reference boxes "
@@ -240,11 +240,11 @@ def test_criterion_08_linear_rule_edges(graph_k8):
     implied = {}
     for target, allowed in LINEAR_TARGET_EMULATORS.items():
         allowed_reps = {rep_of(n) for n in allowed}
-        direct = {e.emulator for e in reduced.edges_to(rep_of(target))}
+        direct = {e.emulator.wolfram for e in reduced.edges_to(rep_of(target))}
         extra = direct - allowed_reps
         if extra:
             violations[target] = sorted(extra)
-        raw_extra = {e.emulator for e in graph_k8.edges_to(rep_of(target))} - allowed_reps
+        raw_extra = {e.emulator.wolfram for e in graph_k8.edges_to(rep_of(target))} - allowed_reps
         if raw_extra - extra:
             implied[target] = sorted(raw_extra - extra)
     report(8, "direct edges into the linear rules 90/150/60 at sizes <= 8 all "

@@ -10,7 +10,9 @@ import pytest
 
 from eca_emulation import (
     EmulationWitness,
+    Encoding,
     classify,
+    compose_witnesses,
     compute_hierarchy,
     dual,
     dual_classes,
@@ -23,12 +25,7 @@ from eca_emulation import (
     verify_witness,
 )
 from eca_emulation import cli, hierarchy
-from eca_emulation.hierarchy import (
-    HierarchyEdge,
-    HierarchyGraph,
-    _load_shard,
-    _store_shard,
-)
+from eca_emulation.hierarchy import HierarchyGraph, _load_shard, _store_shard
 from eca_emulation.rules import _unravel_batch
 from eca_emulation.words import Word
 
@@ -71,43 +68,45 @@ def test_rep_of():
 
 def test_graph_contains_traffic_edge(graph_k2):
     e = graph_k2.edge(148, 184)
-    assert e is not None and e.kmin == 2
-    assert e.witness().holds() and e.witness().k == e.kmin == 2
+    assert e is not None and e.k == 2 and e.holds()
+    assert (e.emulator.wolfram, e.emulated.wolfram) == (148, 184)
     assert e in graph_k2.edges_from(148) and e in graph_k2.edges_to(184)
-    assert {x.emulator for x in graph_k2.edges_from(148)} == {148}
+    assert {x.emulator.wolfram for x in graph_k2.edges_from(148)} == {148}
 
 
 def test_every_node_has_trivial_self_edge(graph_k2):
     for n in graph_k2.nodes:
         e = graph_k2.edge(n, n)
-        assert e is not None and e.kmin == 1
+        assert e is not None and e.k == 1
 
 
 def test_edges_point_to_representatives(graph_k2):
     reps = {c.representative for c in dual_classes()}
     for e in graph_k2.edges:
-        assert e.emulator in reps and e.emulated in reps
+        assert e.emulator.wolfram in reps and e.emulated.wolfram in reps
     # the sweep builds its edges in (emulator, emulated) order, unsorted
-    keys = [(e.emulator, e.emulated) for e in graph_k2.edges]
+    keys = [(e.emulator.wolfram, e.emulated.wolfram) for e in graph_k2.edges]
     assert keys == sorted(set(keys))
-
-
-def test_edge_witness_has_the_edge_size():
-    # codes of one cell cannot witness an edge that states kmin = 3
-    with pytest.raises(ValueError):
-        HierarchyEdge(1, 2, 3, Word(0, 1), Word(1, 1)).witness()
 
 
 def test_edge_witnesses_verify(graph_k3):
     for e in graph_k3.edges:
-        assert verify_witness(e.witness(), 30, 3, samples=50, seed=17), e
+        assert verify_witness(e, 30, 3, samples=50, seed=17), e
+
+
+def test_graph_edges_compose(graph_k3):
+    # 184 <=_2 148 and 148 <=_2 41 chain to 184 <=_4 41
+    w = compose_witnesses(graph_k3.edge(148, 184), graph_k3.edge(41, 148))
+    assert (w.emulated.wolfram, w.emulator.wolfram, w.k) == (184, 41, 4)
+    assert w.holds()
+    assert verify_witness(w, 30, 3, samples=50, seed=17)
 
 
 def test_monotone_in_k(graph_k2, graph_k3):
     g1 = compute_hierarchy(1)
-    pairs = {(e.emulator, e.emulated): e.kmin for e in g1.edges}
-    pairs2 = {(e.emulator, e.emulated): e.kmin for e in graph_k2.edges}
-    pairs3 = {(e.emulator, e.emulated): e.kmin for e in graph_k3.edges}
+    pairs = {(e.emulator.wolfram, e.emulated.wolfram): e.k for e in g1.edges}
+    pairs2 = {(e.emulator.wolfram, e.emulated.wolfram): e.k for e in graph_k2.edges}
+    pairs3 = {(e.emulator.wolfram, e.emulated.wolfram): e.k for e in graph_k3.edges}
     assert set(pairs) <= set(pairs2) <= set(pairs3)
     for key, kmin in pairs2.items():
         assert pairs3[key] <= kmin
@@ -141,13 +140,13 @@ def test_duality_projection(graph_k3):
             assert projected == {rep_of(f) for f, _, _ in cells[(rep_of(g), k)]}
             for r in projected:
                 kmin.setdefault(r, k)
-        assert {e.emulated: e.kmin for e in graph_k3.edges_from(rep_of(g))} == kmin
+        assert {e.emulated.wolfram: e.k for e in graph_k3.edges_from(rep_of(g))} == kmin
 
 
 def test_subset_computation():
     g = compute_hierarchy(2, reps=[148, 149])  # 149 canonicalizes to its rep
-    assert g.edge(148, 184).kmin == 2
-    assert all(e.emulator in {148, rep_of(149)} for e in g.edges)
+    assert g.edge(148, 184).k == 2
+    assert all(e.emulator.wolfram in {148, rep_of(149)} for e in g.edges)
 
 
 def test_compute_rejects_bad_arguments():
@@ -390,7 +389,8 @@ def test_sweep_cells_match_the_pair_space_oracle(k):
 # --- transitive reduction ------------------------------------------------
 
 def _edge(a, b, k=1):
-    return HierarchyEdge(a, b, k, Word(0, k), Word(1, k))
+    return EmulationWitness(rule_from_wolfram(b), rule_from_wolfram(a), k,
+                            Encoding(k, Word(0, k), Word(1, k)))
 
 
 def mkgraph(edges, nodes=None):
@@ -413,12 +413,10 @@ def mkgraph(edges, nodes=None):
     (0, (), (), ()),
     (21, (), (), ()),
     (1, (1,), (_edge(1, 1),), (1,)),
-    (2, (30,), (HierarchyEdge(30, 30, 2, Word(0, 3), Word(1, 3)),), ()),
-    (1, (30,), (HierarchyEdge(30, 30, 1, Word(1, 1), Word(1, 1)),), ()),
 ], ids=["edge-end-not-a-node", "edges-out-of-order", "repeated-pair", "non-representative-node",
         "unsorted-nodes", "self-similar-not-a-node", "self-similar-unsorted",
         "self-similar-repeated", "self-similar-without-self-edge", "kmin-past-K", "K-zero",
-        "K-past-limit", "self-similar-below-K-2", "codes-not-kmin-cells", "equal-codes"])
+        "K-past-limit", "self-similar-below-K-2"])
 def test_graph_checks_its_invariants(K, nodes, edges, self_similar):
     # unchecked, the first graph's reduction raised KeyError and its DOT
     # export drew an edge to the undeclared node r3
@@ -426,16 +424,27 @@ def test_graph_checks_its_invariants(K, nodes, edges, self_similar):
         HierarchyGraph(K, nodes, edges, self_similar)
 
 
+@pytest.mark.parametrize("k, enc0, enc1", [
+    (2, Word(0, 3), Word(1, 3)),
+    (1, Word(1, 1), Word(1, 1)),
+], ids=["codes-not-kmin-cells", "equal-codes"])
+def test_an_edge_checks_its_codes(k, enc0, enc1):
+    # a graph edge is a witness, so codes that are not two distinct words
+    # of kmin cells never reach a graph
+    with pytest.raises(ValueError):
+        EmulationWitness(rule_from_wolfram(30), rule_from_wolfram(30), k, Encoding(k, enc0, enc1))
+
+
 def test_reduction_drops_implied_edge():
     g = mkgraph([(1, 2), (2, 3), (1, 3)])
     red = transitive_reduction(g)
-    assert {(e.emulator, e.emulated) for e in red.edges} == {(1, 2), (2, 3)}
+    assert {(e.emulator.wolfram, e.emulated.wolfram) for e in red.edges} == {(1, 2), (2, 3)}
 
 
 def test_reduction_keeps_self_loops():
     g = mkgraph([(1, 1), (2, 2)], nodes={1, 2})
     red = transitive_reduction(g)
-    assert {(e.emulator, e.emulated) for e in red.edges} == {(1, 1), (2, 2)}
+    assert {(e.emulator.wolfram, e.emulated.wolfram) for e in red.edges} == {(1, 1), (2, 2)}
 
 
 def test_reduction_reconstructs_chain_fragment(graph_k3):
@@ -457,7 +466,7 @@ def test_reduction_preserves_reachability(graph_k3):
         succ = {n: set() for n in graph.nodes}
         for e in graph.edges:
             if e.emulator != e.emulated:
-                succ[e.emulator].add(e.emulated)
+                succ[e.emulator.wolfram].add(e.emulated.wolfram)
         reach = {}
         for start in graph.nodes:
             seen = set()
