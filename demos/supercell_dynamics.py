@@ -7,7 +7,7 @@ operation is the k-fold unravelling.  This script walks one evaluation by
 hand and cross-checks the packed implementation.
 """
 
-from eca_emulation import Word, rule_from_wolfram, supercell_step, unravel, unravel_iter
+from eca_emulation import Word, rule_from_wolfram, supercell_step, unravel
 
 xor3 = rule_from_wolfram(150)  # out = b1 xor b2 xor b3
 
@@ -15,14 +15,14 @@ w = Word.from_text("100110")
 print("word:      ", w.text)
 steps = [w]
 while len(steps[-1]) >= 3:
-    steps.append(unravel(xor3, steps[-1]))
+    steps.append(unravel(xor3, steps[-1], 1))
     pad = "  " * (len(steps) - 1)
     print("unravelled:", pad + steps[-1].text)
 
 u, v, x = Word.from_text("10"), Word.from_text("01"), Word.from_text("10")
 print("\nas supercells of 2:", u.text, v.text, x.text,
       "->", supercell_step(xor3, 2, u, v, x).text)
-assert supercell_step(xor3, 2, u, v, x) == unravel_iter(xor3, w, 2)
+assert supercell_step(xor3, 2, u, v, x) == unravel(xor3, w, 2)
 
 # size 1 recovers the plain local rule
 for i in range(8):

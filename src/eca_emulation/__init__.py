@@ -36,7 +36,6 @@ from .hierarchy import (
 from .render import Diagram, read_pbm, render_diagram, render_emulated, write_pbm
 from .rules import (
     EcaRule,
-    apply_local,
     dual,
     global_step,
     is_affine,
@@ -46,7 +45,6 @@ from .rules import (
     supercell_step,
     trajectory,
     unravel,
-    unravel_iter,
 )
 from .words import Word
 
@@ -60,7 +58,6 @@ __all__ = [
     "HierarchyGraph",
     "Subalgebra",
     "Word",
-    "apply_local",
     "check_emulation_naive",
     "classify",
     "closure",
@@ -89,7 +86,6 @@ __all__ = [
     "trajectory",
     "transitive_reduction",
     "unravel",
-    "unravel_iter",
     "verify_witness",
     "write_pbm",
 ]

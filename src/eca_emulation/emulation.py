@@ -64,23 +64,28 @@ _CHUNK = 1 << 14
 # depend on it.
 _VERIFY_BITS = 1 << 18
 
+# Most entries emulated_rules lists.  It admits every listing at k <= 11,
+# the largest being rule 204's 2,048 x 2,047 = 4,192,256 at k = 11 (1.65 GB
+# of RSS on a 2-core VM, ~4x per size), and refuses 204 at k = 12.
+_MAX_LISTED = 1 << 22
+
 
 @dataclass(frozen=True)
 class Encoding:
-    """An injective encoding of the two states into k-bit supercells."""
+    """An injective encoding of the two states: distinct codes of k >= 1 cells."""
 
-    k: int
     enc0: Word
     enc1: Word
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"supercell size {self.k} < 1")
-        for name, w in (("enc0", self.enc0), ("enc1", self.enc1)):
-            if len(w) != self.k:
-                raise ValueError(f"{name} has {len(w)} cells, expected {self.k}")
-        if self.enc0 == self.enc1:
-            raise ValueError("encoding must be one-to-one: enc0 == enc1")
+        if not 1 <= len(self.enc0) == len(self.enc1) or self.enc0 == self.enc1:
+            raise ValueError(f"codes of {len(self.enc0)} and {len(self.enc1)} cells are not "
+                             "two distinct words of one length >= 1")
+
+    @property
+    def k(self) -> int:
+        """The supercell size, the length of each code."""
+        return len(self.enc0)
 
     def encode_bit(self, b: int) -> Word:
         if b not in (0, 1):
@@ -152,7 +157,7 @@ class EmulationWitness:
             if not (all(type(v) is int for v in (f, g, k))
                     and all(type(v) is str for v in (e0, e1))):
                 raise ValueError("witness needs integers f, g, k and strings enc0, enc1")
-            enc = Encoding(k, Word.from_text(e0), Word.from_text(e1))
+            enc = Encoding(Word.from_text(e0), Word.from_text(e1))
             return cls(rule_from_wolfram(f), rule_from_wolfram(g), k, enc)
         except KeyError as exc:
             raise ValueError(f"witness has no field {exc}") from None
@@ -213,7 +218,7 @@ def _naive_scan_scalar(f: EcaRule, g: EcaRule, k: int) -> Encoding | None:
                 if tab[w] != enc[fbits[i]]:
                     break
             else:
-                return Encoding(k, Word(e0, k), Word(e1, k))
+                return Encoding(Word(e0, k), Word(e1, k))
     return None
 
 
@@ -236,7 +241,7 @@ def _naive_scan_batched(f: EcaRule, g: EcaRule, k: int) -> Encoding | None:
             keep = r == (e1 if fbits[i] else e0)
             e0, e1 = e0[keep], e1[keep]
         if len(e0):
-            return Encoding(k, Word(int(e0[0]), k), Word(int(e1[0]), k))
+            return Encoding(Word(int(e0[0]), k), Word(int(e1[0]), k))
     return None
 
 
@@ -383,19 +388,29 @@ def emulated_rules(g: EcaRule, k: int) -> list[tuple[EcaRule, Encoding]]:
 
     Every closed pair is reported in both orientations (``_closed_pairs``),
     so the result is closed under duality.  Entries are sorted by
-    (wolfram, enc0, enc1), and no entry repeats.  Permissive rules at large
-    k can admit millions of closed pairs; use emulated_rule_map when only
-    the set of rules and one witness per rule are needed.
+    (wolfram, enc0, enc1), and no entry repeats.
+
+    Permissive rules at large k admit millions of closed pairs, so once the
+    entries, counted chunk by chunk, pass ``_MAX_LISTED`` the listing is
+    refused with ValueError before any Encoding is built.  That is the
+    refusal half of bounding its memory; listing straight from the arrays
+    is the open half.  emulated_rule_map keeps one witness per rule.
     """
     import numpy as np
 
     _check_k(k)
-    chunks = list(_closed_pairs(g.wolfram, k, _diagonal_map(g.wolfram, k)))
+    chunks, listed = [], 0
+    for chunk in _closed_pairs(g.wolfram, k, _diagonal_map(g.wolfram, k)):
+        listed += len(chunk[0])
+        if listed > _MAX_LISTED:
+            raise ValueError(f"rule {g.wolfram} at k = {k} lists more than "
+                             f"{_MAX_LISTED} encodings")
+        chunks.append(chunk)
     if not chunks:
         return []
     e0, e1, wol = (np.concatenate(c) for c in zip(*chunks))
     order = np.lexsort((e1, e0, wol))
-    return [(rule_from_wolfram(f), Encoding(k, Word(a, k), Word(b, k)))
+    return [(rule_from_wolfram(f), Encoding(Word(a, k), Word(b, k)))
             for f, a, b in zip(wol[order].tolist(), e0[order].tolist(), e1[order].tolist())]
 
 
@@ -446,7 +461,7 @@ def emulated_rule_map(g: EcaRule, k: int, targets=None) -> dict:
                                                  cells[v.astype(np.int64)])
             np.minimum.at(best, mirror_arr[w] if mirrored else w, a << sk | b)
     mask = n - 1
-    return {f if targets is None else (t, f): Encoding(k, Word(key >> k, k), Word(key & mask, k))
+    return {f if targets is None else (t, f): Encoding(Word(key >> k, k), Word(key & mask, k))
             for t, best, _, _ in folds for f, key in enumerate(best.tolist()) if key != none}
 
 
@@ -548,8 +563,7 @@ def compose_witnesses(w1: EmulationWitness, w2: EmulationWitness) -> EmulationWi
         raise ValueError(
             f"cannot compose: first witness emulator is rule {w1.emulator.wolfram}, "
             f"second emulated is rule {w2.emulated.wolfram}")
-    enc = Encoding(w1.k * w2.k,
-                   encode_config(w2.encoding, w1.encoding.enc0),
+    enc = Encoding(encode_config(w2.encoding, w1.encoding.enc0),
                    encode_config(w2.encoding, w1.encoding.enc1))
     out = EmulationWitness(w1.emulated, w2.emulator, w1.k * w2.k, enc)
     if not out.holds():
@@ -571,14 +585,6 @@ class Subalgebra:
     @property
     def is_proper(self) -> bool:
         return len(self.elements) < 1 << self.k
-
-    def induced_table(self) -> dict[tuple[Word, Word, Word], Word]:
-        """Materialized operation table; only for small element sets."""
-        if len(self.elements) ** 3 > 1 << 15:
-            raise ValueError(f"refusing to materialize {len(self.elements)}^3 entries")
-        elems = sorted(self.elements, key=lambda w: w.bits)
-        return {(u, v, x): supercell_step(self.rule, self.k, u, v, x)
-                for u in elems for v in elems for x in elems}
 
     def is_closed(self) -> bool:
         """Re-check the closure property: closing the elements under a cap of

@@ -69,28 +69,27 @@ def dual_classes() -> list[DualityClass]:
 
 @dataclass(frozen=True)
 class HierarchyGraph:
-    """Directed graph on duality-class representatives.
+    """Directed graph on duality-class representatives; its nodes are the
+    rules at either end of an edge.
 
-    Construction raises ValueError unless K is a supercell size, the nodes
-    are strictly increasing duality representatives holding both ends of
-    every edge, the edges strictly increase by (emulator, emulated), the
-    self-similar rules strictly increase, each has its self edge and there
-    are none below K = 2, and every edge's size (its kmin) is at most K.
+    Construction raises ValueError unless K is a supercell size, every edge
+    joins duality representatives, the edges strictly increase by
+    (emulator, emulated), the self-similar rules strictly increase, each has
+    its self edge and there are none below K = 2, and every edge's size (its
+    kmin) is at most K.
     """
 
     K: int
-    nodes: tuple[int, ...]
     edges: tuple[EmulationWitness, ...]
     self_similar: tuple[int, ...]
 
     def __post_init__(self):
         _check_k(self.K)
-        known = set(self.nodes)
-        if any(a >= b for a, b in pairwise(self.nodes)) or any(rep_of(n) != n for n in known):
-            raise ValueError("nodes must be strictly increasing duality representatives")
         pairs = [(e.emulator.wolfram, e.emulated.wolfram) for e in self.edges]
-        if any(p >= q for p, q in pairwise(pairs)) or not known.issuperset(chain(*pairs)):
-            raise ValueError("edges must strictly increase by (emulator, emulated) between nodes")
+        if any(rep_of(n) != n for n in chain(*pairs)):
+            raise ValueError("every edge must join duality representatives")
+        if any(p >= q for p, q in pairwise(pairs)):
+            raise ValueError("edges must strictly increase by (emulator, emulated)")
         if (any(a >= b for a, b in pairwise(self.self_similar))
                 or not set(pairs).issuperset((n, n) for n in self.self_similar)):
             raise ValueError("self-similar rules must strictly increase and have self edges")
@@ -98,6 +97,12 @@ class HierarchyGraph:
             raise ValueError("no rule is self-similar below K = 2")
         if any(e.k > self.K for e in self.edges):
             raise ValueError(f"an edge's kmin exceeds K = {self.K}")
+
+    @property
+    def nodes(self) -> tuple[int, ...]:
+        """The rules at either end of an edge, ascending."""
+        return tuple(sorted({n for e in self.edges
+                             for n in (e.emulator.wolfram, e.emulated.wolfram)}))
 
     def edge(self, emulator: int, emulated: int) -> EmulationWitness | None:
         for e in self.edges:
@@ -183,7 +188,7 @@ def compute_hierarchy(K: int, reps: list[int] | None = None, workers: int = 1,
 
     ``reps`` restricts the computed emulators (arbitrary rule numbers are
     canonicalized to their class representatives); emulated representatives
-    outside the selection still appear as edge targets and nodes.  The
+    outside the selection still appear as edge targets, so as nodes.  The
     cells (rule, k) that are not cached are grouped into one task per
     mirror/dual orbit and size, which enumerates the orbit's smallest rule
     once for all of them; tasks are farmed to ``workers`` processes, and
@@ -236,8 +241,7 @@ def compute_hierarchy(K: int, reps: list[int] | None = None, workers: int = 1,
 
     # A closed pair reports both orientations, so every cell is closed under
     # duality and holds each emulated rule's representative.  Sources
-    # ascend, so the edges come out in (emulator, emulated) order, and each
-    # has its size-1 self edge, so the edges' targets are all the nodes.
+    # ascend, so the edges come out in (emulator, emulated) order.
     edges = []
     self_similar = []
     for g in sources:
@@ -250,17 +254,17 @@ def compute_hierarchy(K: int, reps: list[int] | None = None, workers: int = 1,
                     selfsim |= f == g and k >= 2
         for f, (k, e0, e1) in sorted(best.items()):
             edges.append(EmulationWitness(rule_from_wolfram(f), rule_from_wolfram(g), k,
-                                          Encoding(k, Word(e0, k), Word(e1, k))))
+                                          Encoding(Word(e0, k), Word(e1, k))))
         if selfsim:
             self_similar.append(g)
 
-    nodes = tuple(sorted({e.emulated.wolfram for e in edges}))
-    return HierarchyGraph(K, nodes, tuple(edges), tuple(self_similar))
+    return HierarchyGraph(K, tuple(edges), tuple(self_similar))
 
 
 def transitive_reduction(g: HierarchyGraph) -> HierarchyGraph:
     """Drop non-self edges implied by transitivity, in edge order;
-    reachability is preserved.
+    reachability is preserved, and so are the nodes, as the ends of a
+    dropped edge stay joined through kept ones.
 
     Rendering aid only: surviving edges keep their kmin, but ``classify``
     reads the dropped edges too, so classify a graph before reducing it.
@@ -292,7 +296,7 @@ def transitive_reduction(g: HierarchyGraph) -> HierarchyGraph:
                 continue
             succ[a].add(b)
         kept.append(e)
-    return HierarchyGraph(g.K, g.nodes, tuple(kept), g.self_similar)
+    return HierarchyGraph(g.K, tuple(kept), g.self_similar)
 
 
 @dataclass(frozen=True)
@@ -426,7 +430,8 @@ def _export_dot(g: HierarchyGraph) -> bytes:
 def load_json(data: bytes | str) -> HierarchyGraph:
     """Rebuild a graph from its JSON export, which classifies as the computed
     graph does; any other shape raises ValueError, as does a graph that
-    breaks HierarchyGraph's invariants or an edge whose witness fails."""
+    breaks HierarchyGraph's invariants, a node list other than the ends of
+    the edges, or an edge whose witness fails."""
     try:
         obj = json.loads(data)
         K, nodes, self_similar, edges = (obj[key] for key in ("K", "nodes", "self_similar", "edges"))
@@ -441,7 +446,9 @@ def load_json(data: bytes | str) -> HierarchyGraph:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed hierarchy document: {exc!r}") from None
     # built first, so every kmin is bounded by K before holds() spends ~kmin^2
-    g = HierarchyGraph(K, tuple(nodes), ws, tuple(self_similar))
+    g = HierarchyGraph(K, ws, tuple(self_similar))
+    if g.nodes != tuple(nodes):
+        raise ValueError("the nodes must be the ends of the edges, ascending")
     for e in g.edges:
         if not e.holds():
             raise ValueError(f"edge {e.emulator.wolfram} -> {e.emulated.wolfram} has a "

@@ -52,8 +52,6 @@ def render_emulated(w: EmulationWitness, u: Word, steps: int) -> tuple[Diagram, 
     """
     if not w.holds():
         raise ValueError("witness does not satisfy the emulation equations")
-    if len(u) < 3:
-        raise ValueError(f"cyclic configuration of {len(u)} cells too short")
     direct = render_diagram(w.emulated, u, steps)
     sampled = Diagram(tuple(
         trajectory(w.emulator, encode_config(w.encoding, u), steps * w.k)[::w.k]))

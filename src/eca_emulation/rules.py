@@ -67,7 +67,11 @@ class EcaRule:
         return tuple((self.wolfram >> i) & 1 for i in range(8))
 
     def __call__(self, b1: int, b2: int, b3: int) -> int:
-        return apply_local(self, b1, b2, b3)
+        """Apply the local rule to one neighborhood."""
+        for b in (b1, b2, b3):
+            if b not in (0, 1):
+                raise ValueError(f"neighborhood value {b!r} is not a bit")
+        return (self.wolfram >> (4 * b1 + 2 * b2 + b3)) & 1
 
     def __repr__(self) -> str:
         return f"EcaRule({self.wolfram})"
@@ -81,14 +85,6 @@ def rule_from_wolfram(n: int) -> EcaRule:
     if not isinstance(n, int) or not 0 <= n <= 255:
         raise ValueError(f"Wolfram number {n!r} not in 0..255")
     return _RULES[n]
-
-
-def apply_local(r: EcaRule, b1: int, b2: int, b3: int) -> int:
-    """Apply the local rule to one neighborhood."""
-    for b in (b1, b2, b3):
-        if b not in (0, 1):
-            raise ValueError(f"neighborhood value {b!r} is not a bit")
-    return (r.wolfram >> (4 * b1 + 2 * b2 + b3)) & 1
 
 
 # dual(n): swap the roles of the 0 and 1 states on inputs and output.
@@ -267,16 +263,9 @@ def _unravel_batch(wolfram: int, words: np.ndarray, m: int, steps: int) -> np.nd
     return _unravel_bits(wolfram, words, m, steps)
 
 
-def unravel(r: EcaRule, w: Word) -> Word:
-    """Apply the rule to every 3-cell window: out[i] = f(w[i], w[i+1], w[i+2]).
-
-    The output is two cells shorter than the input.
-    """
-    return unravel_iter(r, w, 1)
-
-
-def unravel_iter(r: EcaRule, w: Word, t: int) -> Word:
-    """t-fold unravelling; the input must have at least 2t+1 cells."""
+def unravel(r: EcaRule, w: Word, t: int) -> Word:
+    """t-fold unravelling: each step applies the rule to every 3-cell
+    window, out[i] = f(w[i], w[i+1], w[i+2]), and drops two cells."""
     if t < 0:
         raise ValueError(f"negative step count {t}")
     m = len(w)
@@ -321,9 +310,11 @@ def global_step(r: EcaRule, c: Word) -> Word:
 
 
 def trajectory(r: EcaRule, c: Word, t: int) -> list[Word]:
-    """The orbit (c, F(c), ..., F^t(c)) of a cyclic configuration."""
+    """The orbit (c, F(c), ..., F^t(c)) of a cyclic configuration of >= 3 cells."""
     if t < 0:
         raise ValueError(f"negative step count {t}")
+    if len(c) < 3:
+        raise ValueError(f"cyclic configuration length {len(c)} < 3")
     out = [c]
     for _ in range(t):
         out.append(global_step(r, out[-1]))

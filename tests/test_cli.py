@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eca_emulation import (Diagram, EmulationWitness, Encoding, Word, cli,
-                           compose_witnesses, export, hierarchy, load_json,
+                           compose_witnesses, emulation, export, hierarchy, load_json,
                            rule_from_wolfram as R, transitive_reduction)
 from eca_emulation.cli import main
 
@@ -249,6 +249,31 @@ def test_subalgebras_listing(capsys):
     assert "f=184 enc0=00 enc1=10" in out
 
 
+@pytest.mark.parametrize("init", ["01", ""])
+def test_simulate_short_configuration_exit_two(capsys, init):
+    # a cyclic configuration needs 3 cells: with --steps 0 these used to
+    # exit 0 with a PBM of 2 and 0 cells
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", "--rule", "30", "--init", init, "--steps", "0"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_subalgebras_past_the_listing_budget_exit_two(capsys, monkeypatch):
+    monkeypatch.setattr(emulation, "_MAX_LISTED", 55)
+    with pytest.raises(SystemExit) as err:
+        main(["subalgebras", "204", "--k", "3"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    monkeypatch.setattr(emulation, "_MAX_LISTED", 56)
+    code, out = run(capsys, "subalgebras", "204", "--k", "3")
+    assert code == 0 and out.count("\n") == 56
+
+
 def test_verify_witness_file(capsys, tmp_path):
     path = tmp_path / "w.json"
     run(capsys, "emulate", "184", "148", "--k", "2", "-o", str(path))
@@ -272,6 +297,7 @@ def test_verify_witness_file(capsys, tmp_path):
     '{"f": 184, "g": 148, "k": 2, "enc0": [0, 0], "enc1": "10"}',
     '{"f": 184, "g": 148, "k": 2, "enc0": "00", "enc1": "\\uff11\\uff10"}',  # fullwidth 10
     '{"f": 184, "g": 148, "k": 2, "enc0": "00", "enc1": "\\u0661\\u0660"}',  # Arabic-Indic 10
+    '{"f": 184, "g": 148, "k": 2, "enc0": "000", "enc1": "100"}',  # codes longer than k
     pytest.param("[" * 100_000, id="nested-past-the-recursion-limit"),
 ])
 def test_verify_malformed_witness_exit_two(capsys, tmp_path, text):
@@ -303,7 +329,7 @@ def test_verify_bounds_the_witness_size(capsys, tmp_path, monkeypatch):
     # rule 204 moves each block into the next, so any code words witness
     # 204 <=_20 204; composed with itself, that is a k = 400 witness
     w20 = EmulationWitness(R(204), R(204), 20,
-                           Encoding(20, Word(0x5A5A5, 20), Word(0xF0F0F, 20)))
+                           Encoding(Word(0x5A5A5, 20), Word(0xF0F0F, 20)))
     composed = compose_witnesses(w20, w20)
     assert composed.k == 400
     path.write_text(json.dumps(composed.to_json_dict()))

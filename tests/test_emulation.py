@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from eca_emulation import (
     EmulationWitness,
     Encoding,
-    Subalgebra,
     Word,
     check_emulation_naive,
     closure,
@@ -48,21 +47,21 @@ def witness_for(f, g, k):
 
 def test_encoding_validation():
     with pytest.raises(ValueError):
-        Encoding(2, W("00"), W("00"))
+        Encoding(W("00"), W("00"))
     with pytest.raises(ValueError):
-        Encoding(2, W("0"), W("00"))
+        Encoding(W("0"), W("00"))
     with pytest.raises(ValueError):
-        Encoding(0, Word.zeros(0), Word.zeros(0))
+        Encoding(Word.zeros(0), Word.zeros(0))
 
 
 def test_encode_config_examples():
-    e = Encoding(2, W("00"), W("11"))
+    e = Encoding(W("00"), W("11"))
     assert repr(e) == "Encoding(k=2, enc0=00, enc1=11)"
     assert encode_config(e, W("101")).text == "110011"
-    ident = Encoding(1, W("0"), W("1"))
+    ident = Encoding(W("0"), W("1"))
     w = W("100110")
     assert encode_config(ident, w) == w
-    e2 = Encoding(2, W("01"), W("10"))
+    e2 = Encoding(W("01"), W("10"))
     assert encode_config(e2, Word.zeros(0)) == Word.zeros(0)
 
 
@@ -74,12 +73,12 @@ def test_decode_inverts_encode():
         e1 = (e0 + 1 + rng.randrange((1 << k) - 1)) % (1 << k)
         if e0 == e1:
             continue
-        e = Encoding(k, Word(e0, k), Word(e1, k))
+        e = Encoding(Word(e0, k), Word(e1, k))
         n = rng.randrange(0, 12)
         w = Word(rng.getrandbits(n), n)
         assert decode_config(e, encode_config(e, w)) == w
     with pytest.raises(ValueError):
-        decode_config(Encoding(2, W("00"), W("11")), W("01"))
+        decode_config(Encoding(W("00"), W("11")), W("01"))
 
 
 def decode_per_block(e, w):
@@ -104,7 +103,7 @@ def decode_per_block(e, w):
 def test_decode_config_matches_per_block_decode(data, k, n, kind):
     e0, e1 = data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=2, max_size=2,
                                 unique=True), label="codes")
-    e = Encoding(k, Word(e0, k), Word(e1, k))
+    e = Encoding(Word(e0, k), Word(e1, k))
     w = encode_config(e, Word(data.draw(st.integers(0, (1 << n) - 1), label="cells"), n))
     if kind == "invalid" and n:
         # a flipped cell leaves its block a code word only if it turns one
@@ -172,7 +171,7 @@ def test_naive_scan_batched_path_agrees():
 
 def test_emulated_rules_identity_includes_doubling():
     entries = emulated_rules(R(204), 2)
-    assert (R(204), Encoding(2, W("00"), W("11"))) in entries
+    assert (R(204), Encoding(W("00"), W("11"))) in entries
 
 
 def test_emulated_rules_constant_zero():
@@ -198,6 +197,26 @@ def test_emulated_rules_closed_under_duality():
         for k in (2, 3):
             rules = {f.wolfram for f, _ in emulated_rules(R(g), k)}
             assert rules == {dual(R(f)).wolfram for f in rules}
+
+
+def test_emulated_rules_refuses_past_the_listing_budget(monkeypatch):
+    # rule 204 at k = 3 lists all 8 x 7 ordered pairs of distinct supercells
+    monkeypatch.setattr(emulation, "_MAX_LISTED", 56)
+    assert len(emulated_rules(R(204), 3)) == 56
+
+    def refuse(*args):
+        raise AssertionError("an Encoding was built before the count was checked")
+
+    monkeypatch.setattr(emulation, "_MAX_LISTED", 55)
+    monkeypatch.setattr(emulation, "Encoding", refuse)
+    with pytest.raises(ValueError, match="more than 55"):
+        emulated_rules(R(204), 3)
+
+
+def test_listing_budget_admits_every_size_to_eleven():
+    # the largest listing at k <= 11 is rule 204's, every ordered pair of
+    # distinct supercells; at k = 12 it is refused
+    assert 2048 * 2047 <= emulation._MAX_LISTED < 4096 * 4095
 
 
 def test_emulated_rule_map_minimal_encodings():
@@ -234,7 +253,7 @@ def test_duality_transport():
             # transport: complement every cell and swap the two code words
             full = (1 << k) - 1
             for f, enc in rules.items():
-                flipped = Encoding(k, Word(enc.enc1.bits ^ full, k),
+                flipped = Encoding(Word(enc.enc1.bits ^ full, k),
                                    Word(enc.enc0.bits ^ full, k))
                 carried = EmulationWitness(dual(R(f)), dual(R(g)), k, flipped)
                 assert carried.holds(), (g, f, k)
@@ -254,7 +273,7 @@ def test_mirror_transport():
             assert mirrored == {mirror(R(f)).wolfram for f in rules}
             for f, enc in rules.items():
                 carried = EmulationWitness(mirror(R(f)), mirror(R(g)), k,
-                                           Encoding(k, _reversed(enc.enc0),
+                                           Encoding(_reversed(enc.enc0),
                                                     _reversed(enc.enc1)))
                 assert carried.holds(), (g, f, k)
 
@@ -362,7 +381,7 @@ def test_verify_witness_valid_dual_pair():
 
 
 def test_verify_witness_swapped_encoding_fails():
-    bad = EmulationWitness(R(110), R(137), 1, Encoding(1, W("0"), W("1")))
+    bad = EmulationWitness(R(110), R(137), 1, Encoding(W("0"), W("1")))
     assert not bad.holds()
     assert not verify_witness(bad, 20, 5)
 
@@ -489,13 +508,6 @@ def test_closures_are_closed():
             for b in elems[:4]:
                 for c in elems[:4]:
                     assert supercell_step(g, k, a, b, c) in s.elements
-
-
-def test_induced_table_agrees_with_supercell_step():
-    s = closure(R(148), 2, [W("00"), W("01")])
-    table = s.induced_table()
-    for (a, b, c), out in table.items():
-        assert out == supercell_step(R(148), 2, a, b, c)
 
 
 def brute_has_proper_subalgebra(g, k):
@@ -702,17 +714,16 @@ def test_self_similarity_checks_the_largest_size_first(monkeypatch):
 
 
 @pytest.mark.parametrize("call", [
-    lambda: decode_config(Encoding(2, W("00"), W("11")), W("001")),
-    lambda: EmulationWitness(R(204), R(204), 2, Encoding(1, W("0"), W("1"))),
+    lambda: decode_config(Encoding(W("00"), W("11")), W("001")),
+    lambda: EmulationWitness(R(204), R(204), 2, Encoding(W("0"), W("1"))),
     lambda: render_emulated(witness_for(204, 204, 1), W("01"), 1),
     lambda: read_pbm(b"P1\n2 2\n0 1 0\n"),
     lambda: _unravel_batch(30, np.zeros(1, dtype=np.uint64), 63, 1),
     lambda: _unravel_batch(30, np.zeros(1, dtype=np.uint64), 4, 2),
-    lambda: Subalgebra(R(30), 6, frozenset(Word(u, 6) for u in range(64))).induced_table(),
     lambda: closure(R(30), 2, [W("00"), W("1")]),
-    lambda: Encoding(1, W("0"), W("1")).encode_bit(2),
+    lambda: Encoding(W("0"), W("1")).encode_bit(2),
 ], ids=["decode-length", "witness-size", "render-short", "pbm-cells",
-        "batch-width", "batch-steps", "induced-table", "closure-seed", "encode-non-bit"])
+        "batch-width", "batch-steps", "closure-seed", "encode-non-bit"])
 def test_malformed_arguments_raise_value_error(call):
     with pytest.raises(ValueError):
         call()

@@ -390,38 +390,35 @@ def test_sweep_cells_match_the_pair_space_oracle(k):
 
 def _edge(a, b, k=1):
     return EmulationWitness(rule_from_wolfram(b), rule_from_wolfram(a), k,
-                            Encoding(k, Word(0, k), Word(1, k)))
+                            Encoding(Word(0, k), Word(1, k)))
 
 
-def mkgraph(edges, nodes=None):
-    es = tuple(_edge(a, b) for a, b in sorted(edges))
-    ns = tuple(sorted(nodes or {n for e in edges for n in e}))
-    return HierarchyGraph(1, ns, es, ())
+def mkgraph(edges):
+    return HierarchyGraph(1, tuple(_edge(a, b) for a, b in sorted(edges)), ())
 
 
-@pytest.mark.parametrize("K, nodes, edges, self_similar", [
-    (1, (1, 2), (_edge(1, 3), _edge(3, 2)), ()),
-    (1, (1, 2, 3), (_edge(2, 3), _edge(1, 2)), ()),
-    (1, (1, 2), (_edge(1, 2), _edge(1, 2)), ()),
-    (1, (1, 255), (), ()),
-    (1, (2, 1), (), ()),
-    (1, (1, 2), (), (3,)),
-    (1, (1, 2), (_edge(1, 1), _edge(2, 2)), (2, 1)),
-    (1, (1, 2), (_edge(1, 1), _edge(2, 2)), (1, 1)),
-    (1, (1, 2), (_edge(1, 1), _edge(1, 2)), (2,)),
-    (1, (1, 2), (_edge(1, 2, k=2),), ()),
-    (0, (), (), ()),
-    (21, (), (), ()),
-    (1, (1,), (_edge(1, 1),), (1,)),
-], ids=["edge-end-not-a-node", "edges-out-of-order", "repeated-pair", "non-representative-node",
-        "unsorted-nodes", "self-similar-not-a-node", "self-similar-unsorted",
+@pytest.mark.parametrize("K, edges, self_similar", [
+    (1, (_edge(2, 3), _edge(1, 2)), ()),
+    (1, (_edge(1, 2), _edge(1, 2)), ()),
+    (1, (_edge(1, 255),), ()),
+    (1, (_edge(255, 1),), ()),
+    (1, (_edge(1, 2),), (3,)),
+    (1, (_edge(1, 1), _edge(2, 2)), (2, 1)),
+    (1, (_edge(1, 1), _edge(2, 2)), (1, 1)),
+    (1, (_edge(1, 1), _edge(1, 2)), (2,)),
+    (1, (_edge(1, 2, k=2),), ()),
+    (0, (), ()),
+    (21, (), ()),
+    (1, (_edge(1, 1),), (1,)),
+], ids=["edges-out-of-order", "repeated-pair", "non-representative-node",
+        "non-representative-emulator", "self-similar-not-a-node", "self-similar-unsorted",
         "self-similar-repeated", "self-similar-without-self-edge", "kmin-past-K", "K-zero",
         "K-past-limit", "self-similar-below-K-2"])
-def test_graph_checks_its_invariants(K, nodes, edges, self_similar):
-    # unchecked, the first graph's reduction raised KeyError and its DOT
-    # export drew an edge to the undeclared node r3
+def test_graph_checks_its_invariants(K, edges, self_similar):
+    # the nodes are the ends of the edges, so a node outside the duality
+    # representatives is an edge to or from one (255 is the dual of 0)
     with pytest.raises(ValueError):
-        HierarchyGraph(K, nodes, edges, self_similar)
+        HierarchyGraph(K, edges, self_similar)
 
 
 @pytest.mark.parametrize("k, enc0, enc1", [
@@ -432,7 +429,7 @@ def test_an_edge_checks_its_codes(k, enc0, enc1):
     # a graph edge is a witness, so codes that are not two distinct words
     # of kmin cells never reach a graph
     with pytest.raises(ValueError):
-        EmulationWitness(rule_from_wolfram(30), rule_from_wolfram(30), k, Encoding(k, enc0, enc1))
+        EmulationWitness(rule_from_wolfram(30), rule_from_wolfram(30), k, Encoding(enc0, enc1))
 
 
 def test_reduction_drops_implied_edge():
@@ -442,9 +439,19 @@ def test_reduction_drops_implied_edge():
 
 
 def test_reduction_keeps_self_loops():
-    g = mkgraph([(1, 1), (2, 2)], nodes={1, 2})
+    g = mkgraph([(1, 1), (2, 2)])
     red = transitive_reduction(g)
     assert {(e.emulator.wolfram, e.emulated.wolfram) for e in red.edges} == {(1, 1), (2, 2)}
+
+
+@pytest.mark.parametrize("K, reps, drops", [(8, None, True), (2, [184], False)])
+def test_reduction_keeps_every_node(K, reps, drops):
+    # a dropped edge's ends stay joined through the kept edges, and a node
+    # is an edge end, so reduction keeps every node
+    g = compute_hierarchy(K, reps=reps)
+    red = transitive_reduction(g)
+    assert (len(red.edges) < len(g.edges)) == drops
+    assert red.nodes == g.nodes
 
 
 def test_reduction_reconstructs_chain_fragment(graph_k3):
@@ -528,7 +535,8 @@ def test_csv_export(graph_k2):
 
 
 def test_csv_header_only_for_empty_graph():
-    g = HierarchyGraph(1, (), (), ())
+    g = HierarchyGraph(1, (), ())
+    assert g.nodes == ()
     assert export(g, "csv") == b"emulator,emulated,kmin\n"
 
 
@@ -593,6 +601,7 @@ _SELF_226 = {"from": 226, "to": 226, "kmin": 1, "enc0": "0", "enc1": "1"}
                  id="non-representative-node"),
     pytest.param(lambda doc: doc.update(nodes=doc["nodes"][::-1]), id="unsorted-nodes"),
     pytest.param(lambda doc: doc["nodes"].append(240), id="repeated-node"),
+    pytest.param(lambda doc: doc["nodes"].insert(0, 0), id="node-without-edge"),
     pytest.param(lambda doc: doc.update(self_similar=[30]), id="self-similar-outside-nodes"),
     pytest.param(lambda doc: doc.update(K=1, self_similar=[184], edges=[
         e for e in doc["edges"] if e["kmin"] == 1]), id="self-similar-below-K-2"),

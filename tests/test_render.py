@@ -44,7 +44,7 @@ def test_render_diagram_trivial_rules():
 
 def test_render_emulated_identity_witness():
     w = EmulationWitness(R(110), R(110), 1,
-                         Encoding(1, Word.from_text("0"), Word.from_text("1")))
+                         Encoding(Word.from_text("0"), Word.from_text("1")))
     u = Word.from_text("01011010")
     direct, sampled = render_emulated(w, u, 12)
     assert direct.rows == sampled.rows
@@ -70,14 +70,14 @@ def test_render_emulated_decodes_exactly():
 
 def test_render_emulated_rejects_invalid_witness():
     bad = EmulationWitness(R(110), R(137), 1,
-                           Encoding(1, Word.from_text("0"), Word.from_text("1")))
+                           Encoding(Word.from_text("0"), Word.from_text("1")))
     with pytest.raises(ValueError):
         render_emulated(bad, Word.from_text("0101"), 3)
 
 
 def test_render_emulated_checks_every_decoded_row(monkeypatch):
     w = EmulationWitness(R(110), R(110), 1,
-                         Encoding(1, Word.from_text("0"), Word.from_text("1")))
+                         Encoding(Word.from_text("0"), Word.from_text("1")))
     monkeypatch.setattr(render, "decode_config", lambda e, row: Word(0, len(row)))
     with pytest.raises(RuntimeError, match="diverged"):
         render_emulated(w, Word.from_text("0110"), 2)

@@ -6,7 +6,6 @@ import eca_emulation
 from eca_emulation import (
     EcaRule,
     Word,
-    apply_local,
     dual,
     global_step,
     is_affine,
@@ -52,12 +51,12 @@ def test_rule_from_wolfram_rejects():
         EcaRule(999)
 
 
-def test_apply_local_examples():
-    assert apply_local(rule_from_wolfram(110), 1, 1, 1) == 0
-    assert apply_local(rule_from_wolfram(204), 0, 1, 0) == 1
-    assert apply_local(rule_from_wolfram(184), 1, 0, 0) == 1
+def test_rule_call_examples():
+    assert rule_from_wolfram(110)(1, 1, 1) == 0
+    assert rule_from_wolfram(204)(0, 1, 0) == 1
+    assert rule_from_wolfram(184)(1, 0, 0) == 1
     with pytest.raises(ValueError):
-        apply_local(rule_from_wolfram(110), 2, 0, 0)
+        rule_from_wolfram(110)(2, 0, 0)
 
 
 def test_dual_examples():
@@ -166,6 +165,9 @@ def test_trajectory_examples():
     assert [x.text for x in t] == ["1100", "0000", "0000"]
     with pytest.raises(ValueError):
         trajectory(rule_from_wolfram(110), g, -1)
+    # a cyclic configuration needs 3 cells even when nothing steps
+    with pytest.raises(ValueError):
+        trajectory(rule_from_wolfram(30), Word(0, 2), 0)
 
 
 def test_linear_rules_respect_superposition():

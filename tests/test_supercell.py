@@ -8,13 +8,11 @@ from eca_emulation import (
     Encoding,
     EmulationWitness,
     Word,
-    apply_local,
     check_emulation_naive,
     global_step,
     rule_from_wolfram,
     supercell_step,
     unravel,
-    unravel_iter,
 )
 from eca_emulation.emulation import _gk_table_list
 from eca_emulation.rules import MAX_SUPERCELL_BITS, _unravel_batch, _unravel_bits
@@ -27,10 +25,10 @@ def unravel_oracle(rule, cells):
 
 def test_unravel_examples():
     # hand XOR: windows of 01101 -> 011^110^101 -> 0,0,0
-    assert unravel(rule_from_wolfram(150), Word.from_text("01101")).text == "000"
+    assert unravel(rule_from_wolfram(150), Word.from_text("01101"), 1).text == "000"
     w = Word.from_text("011010")
-    assert unravel(rule_from_wolfram(204), w).text == "1101"
-    assert unravel(rule_from_wolfram(0), w) == Word.zeros(4)
+    assert unravel(rule_from_wolfram(204), w, 1).text == "1101"
+    assert unravel(rule_from_wolfram(0), w, 1) == Word.zeros(4)
 
 
 def test_unravel_matches_oracle():
@@ -42,7 +40,7 @@ def test_unravel_matches_oracle():
         rule = rule_from_wolfram(n)
         for m in (rng.randrange(3, 50), rng.randrange(65, 200)):
             cells = [rng.randrange(2) for _ in range(m)]
-            assert list(unravel(rule, Word.from_bits(cells))) == unravel_oracle(rule, cells)
+            assert list(unravel(rule, Word.from_bits(cells), 1)) == unravel_oracle(rule, cells)
         m = rng.randrange(3, MAX_SUPERCELL_BITS + 1)
         steps = rng.randrange(1, (m - 1) // 2 + 1)
         words = [[rng.randrange(2) for _ in range(m)] for _ in range(8)]
@@ -57,25 +55,25 @@ def test_unravel_matches_oracle():
 
 def test_unravel_rejects_short_words():
     with pytest.raises(ValueError):
-        unravel(rule_from_wolfram(110), Word.from_text("01"))
+        unravel(rule_from_wolfram(110), Word.from_text("01"), 1)
 
 
-def test_unravel_iter_examples():
+def test_unravel_step_count_examples():
     w = Word.from_text("011011")
-    assert unravel_iter(rule_from_wolfram(110), w, 0) == w
+    assert unravel(rule_from_wolfram(110), w, 0) == w
     # two hand iterations of windowed XOR: 011011 -> 0000 -> 00
     r150 = rule_from_wolfram(150)
-    assert unravel(r150, w).text == "0000"
-    assert unravel_iter(r150, w, 2).text == "00"
+    assert unravel(r150, w, 1).text == "0000"
+    assert unravel(r150, w, 2).text == "00"
     # a word of 2t+1 cells collapses to a single cell
-    assert len(unravel_iter(rule_from_wolfram(30), Word.from_text("1011010"), 3)) == 1
+    assert len(unravel(rule_from_wolfram(30), Word.from_text("1011010"), 3)) == 1
     with pytest.raises(ValueError):
-        unravel_iter(rule_from_wolfram(30), Word.from_text("1011"), 2)
+        unravel(rule_from_wolfram(30), Word.from_text("1011"), 2)
     with pytest.raises(ValueError):
-        unravel_iter(rule_from_wolfram(30), w, -1)
+        unravel(rule_from_wolfram(30), w, -1)
 
 
-def test_unravel_iter_composes():
+def test_unravel_composes():
     rng = random.Random(4)
     for _ in range(100):
         s = rng.randrange(0, 4)
@@ -83,7 +81,7 @@ def test_unravel_iter_composes():
         n = rng.randrange(2 * (s + t) + 1, 2 * (s + t) + 20)
         rule = rule_from_wolfram(rng.randrange(256))
         w = Word(rng.getrandbits(n), n)
-        assert unravel_iter(rule, w, s + t) == unravel_iter(rule, unravel_iter(rule, w, s), t)
+        assert unravel(rule, w, s + t) == unravel(rule, unravel(rule, w, s), t)
 
 
 def test_supercell_step_examples():
@@ -94,7 +92,7 @@ def test_supercell_step_examples():
     r150 = rule_from_wolfram(150)
     got = supercell_step(r150, 2, Word.from_text("10"), Word.from_text("01"),
                          Word.from_text("10"))
-    assert got == unravel_iter(r150, Word.from_text("100110"), 2)
+    assert got == unravel(r150, Word.from_text("100110"), 2)
     assert got.text == "01"
     assert supercell_step(rule_from_wolfram(0), 3, Word.zeros(3), Word.ones(3),
                           Word.ones(3)) == Word.zeros(3)
@@ -106,7 +104,7 @@ def test_supercell_step_size_one_is_the_local_rule():
         for i in range(8):
             b1, b2, b3 = (i >> 2) & 1, (i >> 1) & 1, i & 1
             got = supercell_step(r, 1, Word(b1, 1), Word(b2, 1), Word(b3, 1))
-            assert got.bits == apply_local(r, b1, b2, b3)
+            assert got.bits == r(b1, b2, b3)
 
 
 def test_supercell_step_rejects_size_mismatch():
@@ -123,7 +121,7 @@ def test_supercell_step_equals_iterated_unravel():
         k = rng.randrange(1, 9)
         rule = rule_from_wolfram(rng.randrange(256))
         u, v, x = (Word(rng.getrandbits(k), k) for _ in range(3))
-        assert supercell_step(rule, k, u, v, x) == unravel_iter(rule, u.concat(v).concat(x), k)
+        assert supercell_step(rule, k, u, v, x) == unravel(rule, u.concat(v).concat(x), k)
 
 
 def test_table_cache_memory_is_bounded():
@@ -142,7 +140,7 @@ def test_table_cache_memory_is_bounded():
     assert retained < 64 * 2**20
     _gk_table_list.cache_clear()
     ident = rule_from_wolfram(204)
-    witness = EmulationWitness(ident, ident, 6, Encoding(6, Word.zeros(6), Word.ones(6)))
+    witness = EmulationWitness(ident, ident, 6, Encoding(Word.zeros(6), Word.ones(6)))
     assert witness.holds()
     assert _gk_table_list.cache_info().currsize == 0
 
@@ -177,7 +175,7 @@ def test_open_window_agrees_with_cyclic_interior():
         rule = rule_from_wolfram(rng.randrange(256))
         cells = [rng.randrange(2) for _ in range(n)]
         unrolled = Word.from_bits([cells[(j - t) % n] for j in range(n + 2 * t)])
-        open_result = unravel_iter(rule, unrolled, t)
+        open_result = unravel(rule, unrolled, t)
         g = Word.from_bits(cells)
         for _ in range(t):
             g = global_step(rule, g)

@@ -69,7 +69,7 @@ def cases(draw):
     e0 = draw(st.integers(0, (1 << k) - 1))
     e1 = draw(st.integers(0, (1 << k) - 1).filter(lambda e: e != e0))
     w = EmulationWitness(R(draw(st.integers(0, 255))), R(draw(st.integers(0, 255))),
-                         k, Encoding(k, Word(e0, k), Word(e1, k)))
+                         k, Encoding(Word(e0, k), Word(e1, k)))
     length = draw(st.integers(3, 45))
     horizon = draw(st.integers(0, (length - 1) // 2))
     samples = draw(st.integers(0, 40))
@@ -100,7 +100,7 @@ def test_packed_check_block_boundaries(monkeypatch):
     # the first failure falls in the first, second or a later block.
     monkeypatch.setattr(emulation, "_VERIFY_BITS", 64)
     monkeypatch.setattr(EmulationWitness, "holds", lambda self: True)
-    w = EmulationWitness(R(0), R(128), 1, Encoding(1, Word(0, 1), Word(1, 1)))
+    w = EmulationWitness(R(0), R(128), 1, Encoding(Word(0, 1), Word(1, 1)))
     late = 0
     for seed in range(30):
         for samples in range(80):
@@ -115,7 +115,7 @@ def test_encode_config_matches_per_byte_reference():
     for _ in range(300):
         k = rng.randrange(1, 9)
         e0, e1 = rng.sample(range(1 << k), 2)
-        enc = Encoding(k, Word(e0, k), Word(e1, k))
+        enc = Encoding(Word(e0, k), Word(e1, k))
         m = rng.choice((0, 1, 7, 8, 9, rng.randrange(0, 80)))
         w = Word(rng.getrandbits(m), m)
         assert encode_config(enc, w) == Word(encode_per_byte(enc, w.bits, m), k * m)
