@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes make the tool scriptable as a decision procedure: 0 success,
-1 relation absent / witness invalid, 2 usage errors and malformed input.
+1 relation absent / witness invalid, 2 anything else: usage errors,
+malformed input, a crashed worker or a memory failure.
 Identical arguments and seed produce byte-identical outputs regardless of
 --workers.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import random
 import sys
 import time
@@ -29,11 +29,14 @@ from .rules import (MAX_SUPERCELL_BITS, _check_k, dual, is_affine, is_linear, mi
                     rule_from_wolfram)
 from .words import Word
 
-CACHE_ENV = "ECA_EMULATION_CACHE"
-
 # verify accepts a composition of two witnesses of CLI sizes and no larger:
 # holds() and verify_witness cost ~k^2 (14 s at k = 4,000 on a 2-core VM).
 _MAX_WITNESS_K = (MAX_SUPERCELL_BITS // 3) ** 2
+
+# Most bytes verify reads of a witness file.  The largest witness it takes,
+# at k = 400, is 854 bytes; a file padded past this bound is refused before
+# json parses it (200 MiB of padding peaked at 416 MB of RSS).
+_MAX_WITNESS_BYTES = 1 << 16
 
 # Upper bounds on the options that size memory or processes.  A diagram of
 # 2^24 cells is 32 MiB of P1 text, and each of its rows costs ~60 bytes of
@@ -85,7 +88,7 @@ def _size(text: str) -> int:
 def _sweep(args):
     """compute_hierarchy on the options that hierarchy and classify share."""
     return compute_hierarchy(args.kmax, reps=args.rules, workers=args.workers,
-                             cache_dir=args.cache_dir or os.environ.get(CACHE_ENV) or None)
+                             cache_dir=args.cache_dir)
 
 
 def _emit(data: bytes, path: str | None) -> None:
@@ -133,11 +136,10 @@ def cmd_emulate(args) -> int:
         print("cannot emulate")
         return 1
     witness = EmulationWitness(f, g, args.k, enc)
-    text = json.dumps(witness.to_json_dict(), sort_keys=True)
+    data = (json.dumps(witness.to_json_dict(), sort_keys=True) + "\n").encode()
     if args.output:  # written first, so a path that fails leaves stdout empty
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
-    print(text)
+        _emit(data, args.output)
+    _emit(data, None)
     return 0
 
 
@@ -178,12 +180,11 @@ def cmd_chaos(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.witness, "r", encoding="ascii") as fh:
-        try:
-            doc = json.load(fh)
-        except RecursionError:
-            raise ValueError("witness file is nested too deeply") from None
-    witness = EmulationWitness.from_json_dict(doc)
+    with open(args.witness, "rb") as fh:
+        data = fh.read(_MAX_WITNESS_BYTES + 1)
+    if len(data) > _MAX_WITNESS_BYTES:
+        raise ValueError(f"witness file exceeds {_MAX_WITNESS_BYTES} bytes")
+    witness = EmulationWitness.from_json_dict(json.loads(data.decode("ascii")))
     if witness.k > _MAX_WITNESS_K:
         raise ValueError(f"witness size {witness.k} exceeds the verify limit {_MAX_WITNESS_K}")
     ok = verify_witness(witness, args.length, args.horizon,
@@ -255,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="restrict the emulators (default: all 136 representatives)")
     sweep.add_argument("--workers", type=_at_most(_positive, _MAX_WORKERS), default=1,
                        help=f"worker processes, at most {_MAX_WORKERS} (default: 1)")
-    sweep.add_argument("--cache-dir", help=f"shard cache (default: ${CACHE_ENV})")
+    sweep.add_argument("--cache-dir", help="shard cache (default: none)")
     sweep.add_argument("--output", "-o", help="write here instead of stdout")
 
     p_h = sub.add_parser("hierarchy", parents=[sweep],
@@ -299,8 +300,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        parser.exit(2, f"error: {exc}\n")
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+        parser.exit(2, f"error: {str(exc) or type(exc).__name__}\n")
 
 
 if __name__ == "__main__":

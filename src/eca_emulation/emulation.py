@@ -43,7 +43,6 @@ from .rules import (
     _MIRROR,
     _check_k,
     _conjugates,
-    _reads,
     _unravel_batch,
     _unravel_bits,
     rule_from_wolfram,
@@ -87,11 +86,6 @@ class Encoding:
         """The supercell size, the length of each code."""
         return len(self.enc0)
 
-    def encode_bit(self, b: int) -> Word:
-        if b not in (0, 1):
-            raise ValueError(f"state {b!r} is not a bit")
-        return self.enc1 if b else self.enc0
-
     def __repr__(self) -> str:
         return f"Encoding(k={self.k}, enc0={self.enc0.text}, enc1={self.enc1.text})"
 
@@ -131,12 +125,11 @@ class EmulationWitness:
 
     def holds(self) -> bool:
         """Check the eight defining equations directly."""
-        e = self.encoding
+        code = (self.encoding.enc0, self.encoding.enc1)
         for i in range(8):
             s1, s2, s3 = (i >> 2) & 1, (i >> 1) & 1, i & 1
-            got = supercell_step(self.emulator, self.k, e.encode_bit(s1),
-                                 e.encode_bit(s2), e.encode_bit(s3))
-            if got != e.encode_bit(self.emulated(s1, s2, s3)):
+            got = supercell_step(self.emulator, self.k, code[s1], code[s2], code[s3])
+            if got != code[self.emulated(s1, s2, s3)]:
                 return False
         return True
 
@@ -276,7 +269,9 @@ def _read_blocks(wolfram: int) -> int:
     it reads its right cell, y if it reads its centre cell or both outer
     cells.  It reads no other block; it may read fewer (rule 90 at k = 2
     skips y), so the set is safe, not always tight."""
-    a, b, c = _reads(wolfram)
+    # the rule reads a cell if flipping it changes the output of some neighborhood
+    a, b, c = (any((wolfram >> i ^ wolfram >> (i ^ flip)) & 1 for i in range(8))
+               for flip in (4, 2, 1))
     return 4 * a | 2 * (b or (a and c)) | c
 
 

@@ -37,6 +37,12 @@ from .words import Word
 # Bump when the computation changes in a way that invalidates cached shards.
 CACHE_SCHEMA = 1
 
+# Most bytes _load_shard reads of a shard; a longer file is a miss.  The
+# largest shard _store_shard writes is 6,339 bytes (256 entries at k = 20),
+# and a shard padded past this bound is never handed to json (200 MiB of
+# padding peaked at 416 MB of RSS).
+_MAX_SHARD_BYTES = 1 << 16
+
 # Rules whose emulation counts as the capability of perfect memory: the
 # identity, the two one-cell shifts, and the negation.  All four are
 # self-dual, so they are their own class representatives.
@@ -141,11 +147,14 @@ def _load_shard(cache_dir: str, g: int, k: int) -> list[tuple[int, int, int]] | 
     has the shape _store_shard writes: entries [f, enc0, enc1] with f a
     Wolfram number and two distinct k-cell codes, f strictly increasing, and
     the set of f closed under duality (swapping enc0 and enc1 turns a
-    witness of f into one of dual(f))."""
+    witness of f into one of dual(f)), in at most _MAX_SHARD_BYTES."""
     path = _shard_path(cache_dir, g, k)
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read(_MAX_SHARD_BYTES + 1)
+        if len(raw) > _MAX_SHARD_BYTES:
+            return None
+        data = json.loads(raw.decode("ascii"))
     except (OSError, ValueError, RecursionError):
         return None
     if (not isinstance(data, dict) or data.get("schema") != CACHE_SCHEMA

@@ -119,13 +119,6 @@ def _conjugates(n: int) -> dict[int, tuple[bool, bool]]:
     return out
 
 
-def _reads(n: int) -> tuple[bool, bool, bool]:
-    """Whether rule n depends on its left, centre and right cell: flipping
-    that cell changes the output of some neighborhood."""
-    return tuple(any((n >> i ^ n >> (i ^ flip)) & 1 for i in range(8))
-                 for flip in (4, 2, 1))
-
-
 def is_linear(r: EcaRule) -> bool:
     """True iff r is a XOR-combination of its inputs with r(0,0,0) = 0.
 
@@ -290,13 +283,6 @@ def supercell_step(r: EcaRule, k: int, u: Word, v: Word, x: Word) -> Word:
     return Word(_unravel_bits(r.wolfram, bits, 3 * k, k), k)
 
 
-def _step_bits_cyclic(wolfram: int, bits: int, n: int) -> int:
-    """One synchronous update of a cyclic configuration, packed: one
-    unravelling step of the n + 2-cell word c[n-1], c[0..n-1], c[0]."""
-    padded = bits >> (n - 1) | bits << 1 | (bits & 1) << (n + 1)
-    return _unravel_bits(wolfram, padded, n + 2, 1)
-
-
 def global_step(r: EcaRule, c: Word) -> Word:
     """Apply the global rule F(c)_i = f(c_{i-1}, c_i, c_{i+1}) once.
 
@@ -306,7 +292,9 @@ def global_step(r: EcaRule, c: Word) -> Word:
     n = len(c)
     if n < 3:
         raise ValueError(f"cyclic configuration length {n} < 3")
-    return Word(_step_bits_cyclic(r.wolfram, c.bits, n), n)
+    # one unravelling step of the n + 2-cell word c[n-1], c[0..n-1], c[0]
+    padded = c.bits >> (n - 1) | c.bits << 1 | (c.bits & 1) << (n + 1)
+    return Word(_unravel_bits(r.wolfram, padded, n + 2, 1), n)
 
 
 def trajectory(r: EcaRule, c: Word, t: int) -> list[Word]:

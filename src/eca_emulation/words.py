@@ -15,7 +15,7 @@ All values here are immutable; every function is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 # _BITREV[b] is byte b with its bit order reversed.  It turns the
 # little-endian bytes of a word's bits into PBM's raw raster, whose bytes
@@ -48,14 +48,6 @@ class Word:
             raise ValueError(f"word text {text!r} has a character other than 0 and 1")
         return cls(int(text[::-1] or "0", 2), len(text))
 
-    @classmethod
-    def zeros(cls, n: int) -> "Word":
-        return cls(0, n)
-
-    @classmethod
-    def ones(cls, n: int) -> "Word":
-        return cls((1 << n) - 1, n)
-
     @property
     def text(self) -> str:
         # the binary numeral of bits, backwards; an empty word's numeral is "0"
@@ -69,14 +61,8 @@ class Word:
             raise IndexError(f"cell {i} out of range for length {self.length}")
         return (self.bits >> i) & 1
 
-    def __iter__(self) -> Iterator[int]:
-        return ((self.bits >> i) & 1 for i in range(self.length))
-
     def __str__(self) -> str:
         return self.text
 
     def __repr__(self) -> str:
         return f"Word.from_text({self.text!r})"
-
-    def concat(self, other: "Word") -> "Word":
-        return Word(self.bits | other.bits << self.length, self.length + other.length)

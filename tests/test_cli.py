@@ -3,6 +3,8 @@ import contextlib
 import hashlib
 import io
 import json
+import multiprocessing
+import os
 import tempfile
 
 import pytest
@@ -299,6 +301,10 @@ def test_verify_witness_file(capsys, tmp_path):
     '{"f": 184, "g": 148, "k": 2, "enc0": "00", "enc1": "\\u0661\\u0660"}',  # Arabic-Indic 10
     '{"f": 184, "g": 148, "k": 2, "enc0": "000", "enc1": "100"}',  # codes longer than k
     pytest.param("[" * 100_000, id="nested-past-the-recursion-limit"),
+    pytest.param("[" * 60_000, id="nested-within-the-size-bound"),
+    # a valid witness padded past 2^16 bytes is refused before json reads it
+    pytest.param('{"f": 184, "g": 148, "k": 2, "enc0": "00", "enc1": "10"}' + " " * (1 << 16),
+                 id="padded-past-the-size-bound"),
 ])
 def test_verify_malformed_witness_exit_two(capsys, tmp_path, text):
     # exit 1 is the verdict "invalid"; a file that is no witness is exit 2
@@ -371,7 +377,7 @@ def test_simulate_bounds_the_diagram(capsys, monkeypatch):
 
     def one_cell(r, g, steps):
         sizes.append((len(g), steps))
-        return Diagram((Word.zeros(1),))
+        return Diagram((Word(0, 1),))
 
     monkeypatch.setattr(cli, "render_diagram", one_cell)
     code, out = run(capsys, "simulate", "--rule", "30", "--width", "65536", "--steps", "255")
@@ -412,14 +418,46 @@ def test_hierarchy_worker_independence(capsys, tmp_path):
     assert files[0] == files[1]
 
 
-def test_hierarchy_cache_env(capsys, tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("ECA_EMULATION_CACHE", str(cache))
-    code, first = run(capsys, "hierarchy", "--kmax", "1", "--rules", "110")
-    assert code == 0
-    assert cache.is_dir() and list(cache.glob("rule110_k01.json"))
-    code, second = run(capsys, "hierarchy", "--kmax", "1", "--rules", "110")
-    assert second == first
+def test_hierarchy_without_cache_dir_writes_no_shard(capsys, tmp_path, monkeypatch):
+    # --cache-dir is the one way to a shard cache; the environment is not read
+    monkeypatch.setenv("ECA_EMULATION_CACHE", str(tmp_path / "cache"))
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, "hierarchy", "--kmax", "1", "--rules", "110")
+    assert code == 0 and out.startswith("emulator,emulated,kmin\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _orbit_dying_at_2_3(args):
+    # module level, so that worker processes can unpickle it; the exit
+    # stands in for a worker killed by the kernel
+    if args[:2] == (2, 3):
+        os._exit(9)
+    return _real_compute_orbit(args)
+
+
+_real_compute_orbit = hierarchy._compute_orbit
+
+
+def _out_of_memory(*args):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("argv, patch", [
+    (["hierarchy", "--kmax", "3", "--rules", "0", "1", "2", "--workers", "2"],
+     (hierarchy, "_compute_orbit", _orbit_dying_at_2_3)),
+    (["subalgebras", "204", "--k", "3"], (cli, "emulated_rules", _out_of_memory)),
+], ids=["dead-worker", "memory-error"])
+def test_crash_exits_two(capsys, monkeypatch, argv, patch):
+    # exit 1 is the verdict "absent"; a run that crashes is exit 2, not a
+    # traceback's exit 1, and leaves no worker behind
+    monkeypatch.setattr(*patch)
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert multiprocessing.active_children() == []
 
 
 def test_classify_json(capsys):

@@ -215,7 +215,6 @@ def test_two_sweeps_share_one_cache(tmp_path, capsys, monkeypatch):
     # Two runs started together on one empty cache write the same shards
     # through temp files of their own: both print the uncached output, and
     # the cache they leave serves a third run without any computation.
-    monkeypatch.delenv("ECA_EMULATION_CACHE", raising=False)
     argv = ["hierarchy", "--kmax", "7", "--json"]
     assert cli.main(argv) == 0
     expected = capsys.readouterr().out.encode()
@@ -258,6 +257,10 @@ def test_cache_ignores_foreign_schema(tmp_path):
     '{"schema": 1, "rule": 0, "k": 1, "emulated": [[0, 0, 1], [0, 1, 0], [255, 1, 0]]}',
     '{"schema": 1, "rule": 0, "k": 1, "emulated": [[255, 1, 0], [0, 0, 1]]}',
     pytest.param("[" * 100_000, id="nested-past-the-recursion-limit"),
+    pytest.param("[" * 60_000, id="nested-within-the-size-bound"),
+    # the true cell, padded past 2^16 bytes: never parsed
+    pytest.param('{"emulated": [[0, 0, 1], [255, 1, 0]], "k": 1, "rule": 0, "schema": 1}'
+                 + " " * (1 << 16), id="padded-past-the-size-bound"),
 ])
 def test_cache_misshapen_shard_is_a_miss(tmp_path, text):
     cache = tmp_path / "cache"
@@ -268,6 +271,16 @@ def test_cache_misshapen_shard_is_a_miss(tmp_path, text):
     assert g.edge(0, 0) is not None
     # the recomputed cell replaced the bad shard
     assert [(0, 1, _load_shard(str(cache), 0, 1))] == hierarchy._compute_orbit((0, 1, (0,)))
+
+
+def test_cache_largest_shard_fits_the_bound(tmp_path):
+    # 256 entries with 20-cell codes under a 3-digit rule is the most
+    # _store_shard writes
+    k = 20
+    entries = [(f, (1 << k) - 1, (1 << k) - 2) for f in range(256)]
+    _store_shard(str(tmp_path), 204, k, entries)
+    assert (tmp_path / "rule204_k20.json").stat().st_size == 6339
+    assert _load_shard(str(tmp_path), 204, k) == entries
 
 
 def test_cache_write_leaves_stale_temp_alone(tmp_path):

@@ -65,8 +65,8 @@ print(json.dumps([before, Recorder.seen]))
 
 
 def _python(*args) -> subprocess.CompletedProcess:
-    env = {k: v for k, v in os.environ.items() if k != "ECA_EMULATION_CACHE"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=300)
     assert out.returncode == 0, out.stderr.decode()
     return out

@@ -28,7 +28,7 @@ def test_unravel_examples():
     assert unravel(rule_from_wolfram(150), Word.from_text("01101"), 1).text == "000"
     w = Word.from_text("011010")
     assert unravel(rule_from_wolfram(204), w, 1).text == "1101"
-    assert unravel(rule_from_wolfram(0), w, 1) == Word.zeros(4)
+    assert unravel(rule_from_wolfram(0), w, 1) == Word(0, 4)
 
 
 def test_unravel_matches_oracle():
@@ -94,8 +94,8 @@ def test_supercell_step_examples():
                          Word.from_text("10"))
     assert got == unravel(r150, Word.from_text("100110"), 2)
     assert got.text == "01"
-    assert supercell_step(rule_from_wolfram(0), 3, Word.zeros(3), Word.ones(3),
-                          Word.ones(3)) == Word.zeros(3)
+    ones = Word.from_text("111")
+    assert supercell_step(rule_from_wolfram(0), 3, Word(0, 3), ones, ones) == Word(0, 3)
 
 
 def test_supercell_step_size_one_is_the_local_rule():
@@ -112,7 +112,7 @@ def test_supercell_step_rejects_size_mismatch():
     with pytest.raises(ValueError):
         supercell_step(r, 2, Word.from_text("01"), Word.from_text("011"), Word.from_text("10"))
     with pytest.raises(ValueError):
-        supercell_step(r, 0, Word.zeros(0), Word.zeros(0), Word.zeros(0))
+        supercell_step(r, 0, Word(0, 0), Word(0, 0), Word(0, 0))
 
 
 def test_supercell_step_equals_iterated_unravel():
@@ -121,7 +121,8 @@ def test_supercell_step_equals_iterated_unravel():
         k = rng.randrange(1, 9)
         rule = rule_from_wolfram(rng.randrange(256))
         u, v, x = (Word(rng.getrandbits(k), k) for _ in range(3))
-        assert supercell_step(rule, k, u, v, x) == unravel(rule, u.concat(v).concat(x), k)
+        uvx = Word.from_text(u.text + v.text + x.text)
+        assert supercell_step(rule, k, u, v, x) == unravel(rule, uvx, k)
 
 
 def test_table_cache_memory_is_bounded():
@@ -140,7 +141,7 @@ def test_table_cache_memory_is_bounded():
     assert retained < 64 * 2**20
     _gk_table_list.cache_clear()
     ident = rule_from_wolfram(204)
-    witness = EmulationWitness(ident, ident, 6, Encoding(Word.zeros(6), Word.ones(6)))
+    witness = EmulationWitness(ident, ident, 6, Encoding(Word(0, 6), Word.from_text("1" * 6)))
     assert witness.holds()
     assert _gk_table_list.cache_info().currsize == 0
 

@@ -32,10 +32,10 @@ def test_indexing():
 
 
 def test_zeros_ones_and_len():
-    assert Word.zeros(5).bits == 0
-    assert Word.ones(5).bits == 31
-    assert len(Word.zeros(0)) == 0
-    assert Word.zeros(0).text == ""
+    assert Word(0, 5).text == "00000"
+    assert Word.from_text("11111").bits == 31
+    assert len(Word(0, 0)) == 0
+    assert Word(0, 0).text == ""
 
 
 def test_slotted_word_hashes_pickles_and_copies():
@@ -46,12 +46,6 @@ def test_slotted_word_hashes_pickles_and_copies():
         assert twin == w and hash(twin) == hash(w)
     with pytest.raises(AttributeError):
         w.bits = 0
-
-
-def test_concat():
-    a = Word.from_text("10")
-    b = Word.from_text("011")
-    assert a.concat(b).text == "10011"
 
 
 def test_rejects_bad_values():
