@@ -10,7 +10,6 @@ Identical arguments and seed produce byte-identical outputs regardless of
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import random
 import sys
@@ -23,20 +22,14 @@ from .emulation import (
     proper_subalgebra_search,
     verify_witness,
 )
-from .hierarchy import classify, compute_hierarchy, export, transitive_reduction
+from .hierarchy import _read_json, classify, compute_hierarchy, export, transitive_reduction
 from .render import render_diagram, write_pbm
-from .rules import (MAX_SUPERCELL_BITS, _check_k, dual, is_affine, is_linear, mirror,
-                    rule_from_wolfram)
+from .rules import MAX_K, dual, is_affine, is_linear, mirror, rule_from_wolfram
 from .words import Word
 
 # verify accepts a composition of two witnesses of CLI sizes and no larger:
 # holds() and verify_witness cost ~k^2 (14 s at k = 4,000 on a 2-core VM).
-_MAX_WITNESS_K = (MAX_SUPERCELL_BITS // 3) ** 2
-
-# Most bytes verify reads of a witness file.  The largest witness it takes,
-# at k = 400, is 854 bytes; a file padded past this bound is refused before
-# json parses it (200 MiB of padding peaked at 416 MB of RSS).
-_MAX_WITNESS_BYTES = 1 << 16
+_MAX_WITNESS_K = MAX_K ** 2
 
 # Upper bounds on the options that size memory or processes.  A diagram of
 # 2^24 cells is 32 MiB of P1 text, and each of its rows costs ~60 bytes of
@@ -50,39 +43,14 @@ _MAX_STEPS = (1 << 16) - 1
 _MAX_VERIFY_LENGTH = 100_000
 
 
-def _wolfram(text: str) -> int:
-    n = int(text)
-    if not 0 <= n <= 255:
-        raise argparse.ArgumentTypeError(f"Wolfram number {n} not in 0..255")
-    return n
-
-
-def _positive(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"{n} is not a positive integer")
-    return n
-
-
-def _at_most(parse, limit: int):
-    """The argparse type ``parse`` that also refuses values above ``limit``."""
-    @functools.wraps(parse)
-    def bounded(text: str) -> int:
-        n = parse(text)
-        if n > limit:
-            raise argparse.ArgumentTypeError(f"{n} exceeds the limit {limit}")
+def _int_in(lo: int, hi: int):
+    """The argparse type of an integer in lo..hi, checked before any work."""
+    def integer(text: str) -> int:
+        n = int(text)
+        if not lo <= n <= hi:
+            raise argparse.ArgumentTypeError(f"{n} not in {lo}..{hi}")
         return n
-    return bounded
-
-
-def _size(text: str) -> int:
-    """A supercell size the packed kernels can take, checked before any work."""
-    k = _positive(text)
-    try:
-        _check_k(k)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return k
+    return integer
 
 
 def _sweep(args):
@@ -137,7 +105,7 @@ def cmd_emulate(args) -> int:
         return 1
     witness = EmulationWitness(f, g, args.k, enc)
     data = (json.dumps(witness.to_json_dict(), sort_keys=True) + "\n").encode()
-    if args.output:  # written first, so a path that fails leaves stdout empty
+    if args.output is not None:  # written first, so a path that fails leaves stdout empty
         _emit(data, args.output)
     _emit(data, None)
     return 0
@@ -167,8 +135,6 @@ def cmd_classify(args) -> int:
 
 def cmd_chaos(args) -> int:
     g = rule_from_wolfram(args.g)
-    if args.kmax < 2:
-        raise ValueError(f"kmax {args.kmax} < 2")
     for k in range(2, args.kmax + 1):
         sub = proper_subalgebra_search(g, k)
         if sub is None:
@@ -180,11 +146,7 @@ def cmd_chaos(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.witness, "rb") as fh:
-        data = fh.read(_MAX_WITNESS_BYTES + 1)
-    if len(data) > _MAX_WITNESS_BYTES:
-        raise ValueError(f"witness file exceeds {_MAX_WITNESS_BYTES} bytes")
-    witness = EmulationWitness.from_json_dict(json.loads(data.decode("ascii")))
+    witness = EmulationWitness.from_json_dict(_read_json(args.witness))
     if witness.k > _MAX_WITNESS_K:
         raise ValueError(f"witness size {witness.k} exceeds the verify limit {_MAX_WITNESS_K}")
     ok = verify_witness(witness, args.length, args.horizon,
@@ -220,15 +182,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_rule = sub.add_parser("rule", help="inspect a local rule")
     rule_sub = p_rule.add_subparsers(dest="rule_command", required=True)
     p_info = rule_sub.add_parser("info", help="table, symmetries and linearity")
-    p_info.add_argument("number", type=_wolfram)
+    p_info.add_argument("number", type=_int_in(0, 255))
     p_info.set_defaults(func=cmd_rule_info)
 
     p_sim = sub.add_parser("simulate", help="space-time diagram as PBM")
-    p_sim.add_argument("--rule", type=_wolfram, required=True)
-    p_sim.add_argument("--width", type=_positive, default=64,
+    p_sim.add_argument("--rule", type=_int_in(0, 255), required=True)
+    p_sim.add_argument("--width", type=_int_in(1, _MAX_DIAGRAM_CELLS), default=64,
                        help=f"cells per row without --init (default 64); "
                             f"width x (steps + 1) <= {_MAX_DIAGRAM_CELLS}")
-    p_sim.add_argument("--steps", type=_at_most(int, _MAX_STEPS), default=64,
+    p_sim.add_argument("--steps", type=_int_in(0, _MAX_STEPS), default=64,
                        help=f"time steps, at most {_MAX_STEPS} (default 64)")
     p_sim.add_argument("--init", help="initial cells as a 0/1 string (cell 0 first)")
     p_sim.add_argument("--seed", type=int, default=0, help="seed for a random start")
@@ -237,24 +199,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_emu = sub.add_parser("emulate", help="does G emulate F at supercell size K?")
-    p_emu.add_argument("f", type=_wolfram)
-    p_emu.add_argument("g", type=_wolfram)
-    p_emu.add_argument("--k", type=_size, required=True)
+    p_emu.add_argument("f", type=_int_in(0, 255))
+    p_emu.add_argument("g", type=_int_in(0, 255))
+    p_emu.add_argument("--k", type=_int_in(1, MAX_K), required=True)
     p_emu.add_argument("--output", "-o", help="also write the witness JSON here")
     p_emu.set_defaults(func=cmd_emulate)
 
     p_sa = sub.add_parser("subalgebras", help="all rules emulated by G at size K")
-    p_sa.add_argument("g", type=_wolfram)
-    p_sa.add_argument("--k", type=_size, required=True)
+    p_sa.add_argument("g", type=_int_in(0, 255))
+    p_sa.add_argument("--k", type=_int_in(1, MAX_K), required=True)
     p_sa.set_defaults(func=cmd_subalgebras)
 
     # Options shared by the two sweeps over (rule, size) cells.
     sweep = argparse.ArgumentParser(add_help=False)
-    sweep.add_argument("--kmax", type=_size, required=True,
-                       help=f"largest supercell size, at most {MAX_SUPERCELL_BITS // 3}")
-    sweep.add_argument("--rules", type=_wolfram, nargs="+",
+    sweep.add_argument("--kmax", type=_int_in(1, MAX_K), required=True,
+                       help=f"largest supercell size, at most {MAX_K}")
+    sweep.add_argument("--rules", type=_int_in(0, 255), nargs="+",
                        help="restrict the emulators (default: all 136 representatives)")
-    sweep.add_argument("--workers", type=_at_most(_positive, _MAX_WORKERS), default=1,
+    sweep.add_argument("--workers", type=_int_in(1, _MAX_WORKERS), default=1,
                        help=f"worker processes, at most {_MAX_WORKERS} (default: 1)")
     sweep.add_argument("--cache-dir", help="shard cache (default: none)")
     sweep.add_argument("--output", "-o", help="write here instead of stdout")
@@ -273,22 +235,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_c.set_defaults(func=cmd_classify)
 
     p_ch = sub.add_parser("chaos", help="proper-subalgebra search per size")
-    p_ch.add_argument("g", type=_wolfram)
-    p_ch.add_argument("--kmax", type=_size, required=True)
+    p_ch.add_argument("g", type=_int_in(0, 255))
+    p_ch.add_argument("--kmax", type=_int_in(2, MAX_K), required=True)
     p_ch.set_defaults(func=cmd_chaos)
 
     p_v = sub.add_parser("verify", help="re-verify a witness file")
     p_v.add_argument("witness", help="JSON file with f, g, k, enc0, enc1")
-    p_v.add_argument("--length", type=_at_most(int, _MAX_VERIFY_LENGTH), default=30,
-                     help=f"cells per sample word, at most {_MAX_VERIFY_LENGTH} (default 30)")
+    p_v.add_argument("--length", type=_int_in(3, _MAX_VERIFY_LENGTH), default=30,
+                     help=f"cells per sample word, 3..{_MAX_VERIFY_LENGTH} (default 30)")
     p_v.add_argument("--horizon", type=int, default=5)
     p_v.add_argument("--samples", type=int, default=100)
     p_v.add_argument("--seed", type=int, default=0)
     p_v.set_defaults(func=cmd_verify)
 
     p_b = sub.add_parser("bench", help="naive scan over all rules vs one enumeration")
-    p_b.add_argument("--k", type=_size, required=True)
-    p_b.add_argument("--rule", type=_wolfram, default=110,
+    p_b.add_argument("--k", type=_int_in(1, MAX_K), required=True)
+    p_b.add_argument("--rule", type=_int_in(0, 255), default=110,
                      help="target rule being emulated against (default 110)")
     p_b.set_defaults(func=cmd_bench)
 
@@ -300,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError, ImportError) as exc:
         parser.exit(2, f"error: {str(exc) or type(exc).__name__}\n")
 
 

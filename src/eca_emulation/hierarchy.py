@@ -37,11 +37,12 @@ from .words import Word
 # Bump when the computation changes in a way that invalidates cached shards.
 CACHE_SCHEMA = 1
 
-# Most bytes _load_shard reads of a shard; a longer file is a miss.  The
+# Most bytes _read_json reads of a cache shard or a witness file.  The
 # largest shard _store_shard writes is 6,339 bytes (256 entries at k = 20),
-# and a shard padded past this bound is never handed to json (200 MiB of
-# padding peaked at 416 MB of RSS).
-_MAX_SHARD_BYTES = 1 << 16
+# and the largest witness verify takes, at k = 400, is 854 bytes.  A file
+# padded past this bound is never handed to json (200 MiB of padding
+# peaked at 416 MB of RSS).
+_MAX_JSON_BYTES = 1 << 16
 
 # Rules whose emulation counts as the capability of perfect memory: the
 # identity, the two one-cell shifts, and the negation.  All four are
@@ -138,6 +139,16 @@ def _compute_orbit(args: tuple[int, int, tuple[int, ...]]
             for t in targets]
 
 
+def _read_json(path: str):
+    """The JSON value of the ASCII file at path, which must be at most
+    _MAX_JSON_BYTES long; raises OSError, ValueError or RecursionError."""
+    with open(path, "rb") as fh:
+        data = fh.read(_MAX_JSON_BYTES + 1)
+    if len(data) > _MAX_JSON_BYTES:
+        raise ValueError(f"{path!r} exceeds {_MAX_JSON_BYTES} bytes")
+    return json.loads(data.decode("ascii"))
+
+
 def _shard_path(cache_dir: str, g: int, k: int) -> str:
     return os.path.join(cache_dir, f"rule{g:03d}_k{k:02d}.json")
 
@@ -147,14 +158,9 @@ def _load_shard(cache_dir: str, g: int, k: int) -> list[tuple[int, int, int]] | 
     has the shape _store_shard writes: entries [f, enc0, enc1] with f a
     Wolfram number and two distinct k-cell codes, f strictly increasing, and
     the set of f closed under duality (swapping enc0 and enc1 turns a
-    witness of f into one of dual(f)), in at most _MAX_SHARD_BYTES."""
-    path = _shard_path(cache_dir, g, k)
+    witness of f into one of dual(f)), in at most _MAX_JSON_BYTES."""
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read(_MAX_SHARD_BYTES + 1)
-        if len(raw) > _MAX_SHARD_BYTES:
-            return None
-        data = json.loads(raw.decode("ascii"))
+        data = _read_json(_shard_path(cache_dir, g, k))
     except (OSError, ValueError, RecursionError):
         return None
     if (not isinstance(data, dict) or data.get("schema") != CACHE_SCHEMA
@@ -203,11 +209,14 @@ def compute_hierarchy(K: int, reps: list[int] | None = None, workers: int = 1,
     once for all of them; tasks are farmed to ``workers`` processes, and
     the merged result is deterministic regardless of scheduling.  With
     ``cache_dir`` set, finished cells are loaded from / stored to one JSON
-    shard per cell so K can be raised incrementally.
+    shard per cell so K can be raised incrementally; an empty ``cache_dir``
+    raises ValueError before any shard is read.
     """
     _check_k(K)  # the largest size, before any cell is computed or stored
     if workers < 1:
         raise ValueError(f"workers {workers} < 1")
+    if cache_dir == "":  # os.path.join would read the working directory
+        raise ValueError("cache_dir must not be empty")
     sources = REPS if reps is None else tuple(sorted({rep_of(r) for r in reps}))
 
     cells: dict[tuple[int, int], list[tuple[int, int, int]]] = {}

@@ -38,17 +38,18 @@ from .words import _BITREV, Word
 if TYPE_CHECKING:
     import numpy as np
 
-# The array kernels keep a packed word of 3k cells in one uint64 lane.
+# The array kernels keep a packed word of 3k cells in one uint64 lane, so
+# MAX_K is the largest supercell size they take.
 MAX_SUPERCELL_BITS = 62
+MAX_K = MAX_SUPERCELL_BITS // 3
 
 
 def _check_k(k: int) -> None:
     """Reject a supercell size the packed array kernels cannot take."""
     if k < 1:
         raise ValueError(f"supercell size {k} < 1")
-    if 3 * k > MAX_SUPERCELL_BITS:
-        raise ValueError(
-            f"supercell size {k} exceeds the packed kernel limit {MAX_SUPERCELL_BITS // 3}")
+    if k > MAX_K:
+        raise ValueError(f"supercell size {k} exceeds the packed kernel limit {MAX_K}")
 
 
 @dataclass(frozen=True)
@@ -119,24 +120,22 @@ def _conjugates(n: int) -> dict[int, tuple[bool, bool]]:
     return out
 
 
+# The linear rules: the XOR span of the three cell projections, 240 (left),
+# 204 (centre) and 170 (right).
+_LINEAR = frozenset(a ^ b ^ c for a in (0, 240) for b in (0, 204) for c in (0, 170))
+
+
 def is_linear(r: EcaRule) -> bool:
     """True iff r is a XOR-combination of its inputs with r(0,0,0) = 0.
 
     Equivalent to r(x ^ y) == r(x) ^ r(y) for all pairs of neighborhoods.
     """
-    t = r.table
-    if t[0] != 0:
-        return False
-    # Determined by values on the unit neighborhoods.
-    return all(
-        t[i] == (t[4] * ((i >> 2) & 1)) ^ (t[2] * ((i >> 1) & 1)) ^ (t[1] * (i & 1))
-        for i in range(8)
-    )
+    return r.wolfram in _LINEAR
 
 
 def is_affine(r: EcaRule) -> bool:
     """True iff r or its output-complement is linear."""
-    return is_linear(r) or is_linear(_RULES[r.wolfram ^ 0xFF])
+    return r.wolfram in _LINEAR or r.wolfram ^ 0xFF in _LINEAR
 
 
 # One straight-line program ("chain") per Wolfram number over a = w,

@@ -40,13 +40,15 @@ def test_emulate_found(capsys, tmp_path):
 
 def test_emulate_unwritable_output_exit_two(capsys, tmp_path):
     # The witness file is written before stdout: a path that cannot be
-    # written used to print the witness and then exit 2.
-    with pytest.raises(SystemExit) as err:
-        main(["emulate", "30", "30", "--k", "1", "-o", str(tmp_path / "no" / "w.json")])
-    assert err.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    # written used to print the witness and then exit 2, and -o '' used to
+    # print it, write no file and exit 0.
+    for path in (str(tmp_path / "no" / "w.json"), ""):
+        with pytest.raises(SystemExit) as err:
+            main(["emulate", "30", "30", "--k", "1", "-o", path])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_emulate_absent_exit_one(capsys):
@@ -82,7 +84,7 @@ def test_nonpositive_count_exit_two(capsys, command, option):
     captured = capsys.readouterr()
     assert captured.out == ""
     errors = [line for line in captured.err.splitlines() if "error:" in line]
-    assert len(errors) == 1 and f"argument {option}: 0 is not a positive" in errors[0]
+    assert len(errors) == 1 and f"argument {option}: 0 not in 1.." in errors[0]
 
 
 @pytest.mark.parametrize("width", ["0", "-5"])
@@ -95,7 +97,7 @@ def test_nonpositive_width_exit_two(capsys, width):
     captured = capsys.readouterr()
     assert captured.out == ""
     errors = [line for line in captured.err.splitlines() if "error:" in line]
-    assert len(errors) == 1 and f"argument --width: {width} is not a positive" in errors[0]
+    assert len(errors) == 1 and f"argument --width: {width} not in 1.." in errors[0]
 
 
 def _refuse(*args, **kwargs):
@@ -108,13 +110,27 @@ def _refuse(*args, **kwargs):
     ["chaos", "30", "--kmax", "21"],
     ["hierarchy", "--kmax", "21", "--rules", "204"],
     ["classify", "--kmax", "21", "--rules", "30"],
+    # one past either end of each option's range
+    ["rule", "info", "256"],
+    ["simulate", "--rule", "30", "--steps", "-1"],
+    ["simulate", "--rule", "30", "--width", "16777217", "--steps", "0"],
+    ["hierarchy", "--kmax", "2", "--workers", "65"],
+    ["bench", "--k", "21"],
+    ["emulate", "30", "30", "--k", "0"],
+    ["verify", "w.json", "--length", "2"],
 ])
-def test_bad_size_exit_two_before_work(capsys, monkeypatch, argv):
+def test_bad_size_exit_two_before_work(capsys, monkeypatch, tmp_path, argv):
     # Sizes are checked before any cell is computed: a size past the packed
     # kernel limit used to run every smaller size first, and chaos with a
-    # kmax below 2 used to exit 0 with nothing done.
-    monkeypatch.setattr(cli, "compute_hierarchy", _refuse)
-    monkeypatch.setattr(cli, "proper_subalgebra_search", _refuse)
+    # kmax below 2 used to exit 0 with nothing done.  --steps -1 and
+    # --length 2 used to reach the library, which refused them only after
+    # the command had started.
+    for name in ("compute_hierarchy", "proper_subalgebra_search", "render_diagram",
+                 "verify_witness", "check_emulation_naive", "emulated_rules"):
+        monkeypatch.setattr(cli, name, _refuse)
+    monkeypatch.chdir(tmp_path)  # a valid witness, so only --length is at fault
+    (tmp_path / "w.json").write_text(
+        '{"f": 184, "g": 148, "k": 2, "enc0": "00", "enc1": "10"}')
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2

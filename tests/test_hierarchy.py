@@ -156,6 +156,21 @@ def test_compute_rejects_bad_arguments():
         compute_hierarchy(2, workers=0)
 
 
+def test_compute_refuses_an_empty_cache_dir(tmp_path, monkeypatch):
+    # '' joined with a shard's name is a path in the working directory: an
+    # empty cache_dir used to read the shards there (`hierarchy --cache-dir
+    # ''` exited 0 on a warm cell), and failed in os.makedirs('') only once
+    # a cell had to be computed
+    def refuse(*args):
+        raise AssertionError("a shard was read before cache_dir was checked")
+
+    compute_hierarchy(1, reps=[0], cache_dir=str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(hierarchy, "_load_shard", refuse)
+    with pytest.raises(ValueError, match="must not be empty"):
+        compute_hierarchy(1, reps=[0], cache_dir="")
+
+
 def test_compute_checks_the_largest_size_first(tmp_path, monkeypatch):
     # K past the packed kernel limit used to compute and store sizes 1..20
     # before it raised

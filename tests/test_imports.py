@@ -64,11 +64,11 @@ print(json.dumps([before, Recorder.seen]))
 """
 
 
-def _python(*args) -> subprocess.CompletedProcess:
+def _python(*args, code: int = 0) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=300)
-    assert out.returncode == 0, out.stderr.decode()
+    assert out.returncode == code, out.stderr.decode()
     return out
 
 
@@ -127,3 +127,13 @@ def test_pool_forks_after_numpy_is_loaded():
     before, seen = json.loads(_python("-c", _FORK_ORDER).stdout)
     assert before is False
     assert seen == [True]
+
+
+def test_missing_numpy_exits_two():
+    # exit 1 is the verdict "absent"; a sweep that cannot import numpy used
+    # to exit 1 with a ModuleNotFoundError traceback
+    out = _python("-c", "import sys; sys.modules['numpy'] = None; "
+                        "from eca_emulation.cli import main; sys.exit(main(sys.argv[1:]))",
+                  "hierarchy", "--kmax", "2", "--rules", "30", code=2)
+    assert out.stdout == b""
+    assert out.stderr == b"error: import of numpy halted; None in sys.modules\n"
