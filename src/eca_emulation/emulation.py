@@ -577,6 +577,12 @@ class Subalgebra:
     k: int
     elements: frozenset[Word]
 
+    def __post_init__(self):
+        _check_k(self.k)
+        for w in self.elements:
+            if len(w) != self.k:
+                raise ValueError(f"supercell has {len(w)} cells, expected {self.k}")
+
     @property
     def is_proper(self) -> bool:
         return len(self.elements) < 1 << self.k
@@ -594,11 +600,13 @@ def _close(wolfram: int, k: int, seeds: list[int], cap: int,
     it holds more than ``cap`` elements.
 
     Incremental: each round evaluates only the triples touching elements
-    added in the previous round, in chunks, and stops as soon as the
-    element count exceeds ``cap`` or reaches 2^k (the full set is always
-    closed).  ``full_generators`` may mark elements already known to
-    generate the full algebra; absorbing one makes this closure full too,
-    so it returns None at once; pass marks only with ``cap`` < 2^k.
+    added in the previous round, each once, in the tiles of
+    ``_triple_tiles``, and stops as soon as the element count exceeds
+    ``cap`` or reaches 2^k (the full set is always closed).  The element
+    list is in order of discovery, which follows the tile order.
+    ``full_generators`` may mark elements already known to generate the
+    full algebra; absorbing one makes this closure full too, so it returns
+    None at once; pass marks only with ``cap`` < 2^k.
     """
     import numpy as np
 
@@ -617,18 +625,8 @@ def _close(wolfram: int, k: int, seeds: list[int], cap: int,
         new_from = len(elems)
         # Triples with at least one new coordinate, without duplicates:
         # (new, cur, cur) + (old, new, cur) + (old, old, new).
-        blocks = ((new, cur, cur), (old, new, cur), (old, old, new))
-        for xs, ys, zs in blocks:
-            total = len(xs) * len(ys) * len(zs)
-            if not total:
-                continue
-            ny, nz = len(ys), len(zs)
-            for lo in range(0, total, _CHUNK):
-                t = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-                x = xs[t // (ny * nz)]
-                y = ys[(t // nz) % ny]
-                z = zs[t % nz]
-                w = x | y << np.uint64(k) | z << np.uint64(2 * k)
+        for xs, ys, zs in ((new, cur, cur), (old, new, cur), (old, old, new)):
+            for w in _triple_tiles(xs, ys, zs, k):
                 r = _unravel_batch(wolfram, w, 3 * k, k).astype(np.int64)
                 fresh = np.unique(r[~member[r]])
                 if len(fresh):
@@ -639,6 +637,40 @@ def _close(wolfram: int, k: int, seeds: list[int], cap: int,
                     if len(elems) == n:  # full: the rest of the round adds nothing
                         return elems
     return elems
+
+
+def _triple_tiles(xs: np.ndarray, ys: np.ndarray, zs: np.ndarray,
+                  k: int) -> Iterator[np.ndarray]:
+    """The packed triples x | y << k | z << 2k of the block xs × ys × zs,
+    each once, in tiles of at most ``_CHUNK`` words.
+
+    Position (s, j, i) of the block, s slowest, holds (xs[i], ys[j],
+    zs[(s + j + i) mod nz]); a tile is a box of positions.  So a tile
+    spans all three coordinates, where a lexicographic walk holds one x for
+    nz * ny words: a closure that fills the algebra meets its new elements
+    in the first tiles, whichever block the rule reads.  No word costs
+    index arithmetic or a gather: the z part of a tile at (s, j, i) is a
+    view of ``zs`` extended cyclically to nz + ny + nx entries, starting
+    at s + j + i with a stride of one entry on all three axes.  Its last
+    entry is at most nz + ny + nx - 3, and numpy refuses a view that
+    would leave the extension.
+    """
+    import numpy as np
+
+    nx, ny, nz = len(xs), len(ys), len(zs)
+    if not nx * ny * nz:
+        return
+    di = min(nx, _CHUNK)
+    dj = min(ny, max(1, _CHUNK // nx))
+    ds = min(nz, max(1, _CHUNK // (nx * ny)))
+    z = (zs << np.uint64(2 * k))[np.arange(nz + ny + nx) % nz]  # zs[t mod nz] << 2k
+    y = ys[:, None] << np.uint64(k)
+    for s in range(0, nz, ds):
+        for j in range(0, ny, dj):
+            for i in range(0, nx, di):
+                box = (min(ds, nz - s), min(dj, ny - j), min(di, nx - i))
+                zt = np.ndarray(box, z.dtype, z, (s + j + i) * z.itemsize, z.strides * 3)
+                yield (zt | y[j:j + dj] | xs[i:i + di]).reshape(-1)
 
 
 def _as_subalgebra(g: EcaRule, k: int, elems: list[int]) -> Subalgebra:
@@ -671,8 +703,8 @@ def proper_subalgebra_search(g: EcaRule, k: int) -> Subalgebra | None:
     possible seeds.  No answer for any rule at k = 2..10 comes from those
     pairs, but without them the search would not be exhaustive.  On a
     2-core VM they cost the chaotic rules little (30 and 45 close 107 and
-    161 pairs over k = 2..11 in ~10 and ~16 ms) and a rule with many fixed
-    points much: at k = 7 rule 150 closes all 8,128 pairs of its 128 (~10 s).
+    161 pairs over k = 2..11 in ~5 and ~9 ms) and a rule with many fixed
+    points much: at k = 7 rule 150 closes all 8,128 pairs of its 128 (4-9 s).
 
     The sweep closes few singletons.  With d the diagonal map, the
     children of u are the eight products of the pair (u, d(u)): d(u),

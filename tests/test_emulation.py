@@ -1,3 +1,4 @@
+import os
 import random
 import tracemalloc
 from unittest import mock
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from eca_emulation import (
     EmulationWitness,
     Encoding,
+    Subalgebra,
     Word,
     check_emulation_naive,
     closure,
@@ -31,6 +33,10 @@ from eca_emulation import emulation
 from eca_emulation.rules import _unravel_batch
 
 R = rule_from_wolfram
+
+needs_extended = pytest.mark.skipif(
+    os.environ.get("ECA_EMULATION_EXTENDED") != "1",
+    reason="set ECA_EMULATION_EXTENDED=1 for the full-depth runs")
 
 
 def W(text):
@@ -612,6 +618,106 @@ def test_close_is_the_capped_closure(data, g, k):
     assert got is None or sorted(got) == sorted(closure)
 
 
+@settings(max_examples=100, deadline=None)
+@given(nx=st.integers(0, 40), ny=st.integers(0, 40), nz=st.integers(0, 40),
+       chunk=st.one_of(st.just(emulation._CHUNK), st.integers(1, 60)))
+@example(nx=40, ny=40, nz=40, chunk=emulation._CHUNK)  # several s per tile
+@example(nx=40, ny=40, nz=40, chunk=7)  # tiles break on the x axis
+@example(nx=5, ny=40, nz=40, chunk=60)  # on the y axis
+@example(nx=3, ny=4, nz=40, chunk=50)  # on the z axis
+def test_triple_tiles_cover_the_block_once(nx, ny, nz, chunk):
+    # every triple of the block comes exactly once, in tiles of at most
+    # _CHUNK words, whatever the block's shape and the chunk size
+    k = 6
+    xs, ys, zs = (np.arange(m, dtype=np.uint64) for m in (nx, ny, nz))
+    with mock.patch.object(emulation, "_CHUNK", chunk):
+        tiles = list(emulation._triple_tiles(xs, ys, zs, k))
+    assert all(1 <= len(t) <= chunk for t in tiles)
+    words = np.concatenate(tiles).tolist() if tiles else []
+    mask = (1 << k) - 1
+    triples = [(w & mask, w >> k & mask, w >> 2 * k) for w in words]
+    assert len(triples) == nx * ny * nz
+    assert set(triples) == {(x, y, z) for x in range(nx) for y in range(ny) for z in range(nz)}
+
+
+@pytest.mark.parametrize("k", [10, 11])
+@pytest.mark.parametrize("g", [30, 45])
+def test_full_closure_stops_within_a_few_tiles(g, k):
+    # the first singleton closure of a chaotic rule fills the algebra; in
+    # lexicographic order it took 0.54M-2.0M kernel words, as the first
+    # chunks hold a single x, and the skewed tiles find every element in
+    # 17K-40K
+    close, words = emulation._close, []
+
+    def counted_close(*args):
+        words.append(0)
+        return close(*args)
+
+    def counted_kernel(wolfram, w, *args):
+        if words:
+            words[-1] += len(w)
+        return _unravel_batch(wolfram, w, *args)
+
+    with mock.patch.object(emulation, "_close", counted_close), \
+            mock.patch.object(emulation, "_unravel_batch", counted_kernel):
+        assert proper_subalgebra_search(R(g), k) is None
+    assert words[0] <= 8 * emulation._CHUNK, words[0]
+
+
+def close_lexicographic(wolfram, k, seeds, cap, full_generators=None):
+    """_close with the triples of each block in lexicographic order, x
+    slowest and z fastest, in chunks of _CHUNK; the reference for the
+    skewed tiles."""
+    n = 1 << k
+    marked = np.zeros(n, dtype=bool) if full_generators is None else full_generators
+    member = np.zeros(n, dtype=bool)
+    elems = list(dict.fromkeys(seeds))
+    member[elems] = True
+    if len(elems) > cap or marked[elems].any():
+        return None
+    new_from = 0
+    while new_from < len(elems) < n:
+        old = np.array(elems[:new_from], dtype=np.uint64)
+        new = np.array(elems[new_from:], dtype=np.uint64)
+        cur = np.array(elems, dtype=np.uint64)
+        new_from = len(elems)
+        for xs, ys, zs in ((new, cur, cur), (old, new, cur), (old, old, new)):
+            total = len(xs) * len(ys) * len(zs)
+            ny, nz = len(ys), len(zs)
+            for lo in range(0, total, emulation._CHUNK):
+                t = np.arange(lo, min(lo + emulation._CHUNK, total), dtype=np.int64)
+                w = (xs[t // (ny * nz)] | ys[(t // nz) % ny] << np.uint64(k)
+                     | zs[t % nz] << np.uint64(2 * k))
+                r = _unravel_batch(wolfram, w, 3 * k, k).astype(np.int64)
+                fresh = np.unique(r[~member[r]])
+                if len(fresh):
+                    member[fresh] = True
+                    elems.extend(fresh.tolist())
+                    if len(elems) > cap or marked[fresh].any():
+                        return None
+                    if len(elems) == n:
+                        return elems
+    return elems
+
+
+def _searches_match_lexicographic(k):
+    for g in range(256):
+        found = proper_subalgebra_search(R(g), k)
+        with mock.patch.object(emulation, "_close", close_lexicographic):
+            assert proper_subalgebra_search(R(g), k) == found, (g, k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_search_matches_lexicographic_close(k):
+    _searches_match_lexicographic(k)
+
+
+@needs_extended
+@pytest.mark.parametrize("k", [7, 8])
+def test_search_matches_lexicographic_close_extended(k):
+    _searches_match_lexicographic(k)
+
+
 def search_per_element(g, k):
     """proper_subalgebra_search with a singleton sweep that closes every
     supercell in turn; the reference for the batched sweep."""
@@ -675,7 +781,7 @@ def test_results_independent_of_partition_size(g, k, chunk):
         assert emulated_rule_map(R(g), k) == firsts
         assert all(EmulationWitness(f, R(g), k, e).holds() for f, e in listing)
         # without a closed pair the answer comes from the closure sweep,
-        # whose chunks of triples make tiny sizes slow beyond size 3
+        # whose tiles of triples make tiny sizes slow beyond size 3
         if listing or k <= 3:
             assert proper_subalgebra_search(R(g), k) == search
         assert check_emulation_naive(R(184), R(148), 2) == first
@@ -721,8 +827,12 @@ def test_self_similarity_checks_the_largest_size_first(monkeypatch):
     lambda: _unravel_batch(30, np.zeros(1, dtype=np.uint64), 63, 1),
     lambda: _unravel_batch(30, np.zeros(1, dtype=np.uint64), 4, 2),
     lambda: closure(R(30), 2, [W("00"), W("1")]),
+    lambda: Subalgebra(R(30), 2, frozenset({Word(5, 3)})),
+    lambda: Subalgebra(R(30), 25, frozenset({Word(0, 25), Word(1, 25)})),
+    lambda: Subalgebra(R(30), 0, frozenset()),
 ], ids=["decode-length", "witness-size", "render-short", "pbm-cells",
-        "batch-width", "batch-steps", "closure-seed"])
+        "batch-width", "batch-steps", "closure-seed", "subalgebra-cells",
+        "subalgebra-size", "subalgebra-empty-size"])
 def test_malformed_arguments_raise_value_error(call):
     with pytest.raises(ValueError):
         call()
