@@ -218,7 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="restrict the emulators (default: all 136 representatives)")
     sweep.add_argument("--workers", type=_int_in(1, _MAX_WORKERS), default=1,
                        help=f"worker processes, at most {_MAX_WORKERS} (default: 1)")
-    sweep.add_argument("--cache-dir", help="shard cache (default: none)")
+    sweep.add_argument("--cache-dir",
+                       help="cache of computed cells, one segment file per orbit "
+                            "(default: none)")
     sweep.add_argument("--output", "-o", help="write here instead of stdout")
 
     p_h = sub.add_parser("hierarchy", parents=[sweep],

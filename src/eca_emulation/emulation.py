@@ -628,8 +628,12 @@ def _close(wolfram: int, k: int, seeds: list[int], cap: int,
         for xs, ys, zs in ((new, cur, cur), (old, new, cur), (old, old, new)):
             for w in _triple_tiles(xs, ys, zs, k):
                 r = _unravel_batch(wolfram, w, 3 * k, k).astype(np.int64)
-                fresh = np.unique(r[~member[r]])
-                if len(fresh):
+                r = r[~member[r]]
+                if len(r):
+                    # dedupe by marking, not hashing; fresh comes out sorted
+                    seen = np.zeros(n, dtype=bool)
+                    seen[r] = True
+                    fresh = np.flatnonzero(seen)
                     member[fresh] = True
                     elems.extend(fresh.tolist())
                     if len(elems) > cap or marked[fresh].any():

@@ -16,10 +16,14 @@ the orbit's representatives at that size, byte for byte as enumerating
 each would, and a size costs 88 enumerations instead of 136.  The chaos
 search of ``classify`` runs once per orbit and size too.
 
-The per-(rule, size) cells live only in the sweep and in optional on-disk
-cache shards; the graph keeps what they add up to, the edges and the
-self-similar rules, and ``classify`` reads nothing else.  All outputs are
-deterministic: independent of worker count, chunking and dict order.
+The per-(rule, size) cells live only in the sweep and in an optional
+on-disk cache of immutable segments, each a JSON file of the cells one run
+computed for one orbit (the segments and merge of log-structured stores):
+a run reads and checks every segment, merges them, and writes only new
+segments of its own.  The graph keeps what the cells add up to, the edges
+and the self-similar rules, and ``classify`` reads nothing else.  All
+outputs are deterministic: independent of worker count, chunking and dict
+order.
 """
 
 from __future__ import annotations
@@ -31,17 +35,19 @@ from dataclasses import dataclass
 from itertools import chain, pairwise
 
 from .emulation import Encoding, EmulationWitness, emulated_rule_map, proper_subalgebra_search
-from .rules import _DUAL, _check_k, _conjugates, rule_from_wolfram
+from .rules import _DUAL, MAX_K, _check_k, _conjugates, rule_from_wolfram
 from .words import Word
 
-# Bump when the computation changes in a way that invalidates cached shards.
-CACHE_SCHEMA = 1
+# Bump when the computation or the cache's layout changes in a way that
+# invalidates cached cells (2: segments of many cells, not a file per cell).
+CACHE_SCHEMA = 2
 
-# Most bytes _read_json reads of a cache shard or a witness file.  The
-# largest shard _store_shard writes is 6,339 bytes (256 entries at k = 20),
-# and the largest witness verify takes, at k = 400, is 854 bytes.  A file
-# padded past this bound is never handed to json (200 MiB of padding
-# peaked at 416 MB of RSS).
+# Most bytes _read_json reads of a cache segment or a witness file.  A sweep
+# starts a new segment before a cell would take one past this bound (a
+# segment of the largest cell, 256 entries at k = 20, is 6,327 bytes), and
+# the largest witness verify takes, at k = 400, is 854 bytes.  A file padded
+# past this bound is never handed to json (200 MiB of padding peaked at
+# 416 MB of RSS).
 _MAX_JSON_BYTES = 1 << 16
 
 # Rules whose emulation counts as the capability of perfect memory: the
@@ -149,51 +155,71 @@ def _read_json(path: str):
     return json.loads(data.decode("ascii"))
 
 
-def _shard_path(cache_dir: str, g: int, k: int) -> str:
-    return os.path.join(cache_dir, f"rule{g:03d}_k{k:02d}.json")
-
-
-def _load_shard(cache_dir: str, g: int, k: int) -> list[tuple[int, int, int]] | None:
-    """The cell's entries, or None (a cache miss) unless the shard parses and
-    has the shape _store_shard writes: entries [f, enc0, enc1] with f a
-    Wolfram number and two distinct k-cell codes, f strictly increasing, and
-    the set of f closed under duality (swapping enc0 and enc1 turns a
-    witness of f into one of dual(f)), in at most _MAX_JSON_BYTES."""
+def _load_shard(path: str) -> list[tuple[int, int, list[tuple[int, int, int]]]] | None:
+    """The well-formed cells (g, k, entries) of the cache segment at path, or
+    None (every cell a miss) unless it parses, in at most _MAX_JSON_BYTES,
+    as the object _store_shard writes.  A cell [g, k, entries] is dropped
+    as a miss unless g is a Wolfram number, k a supercell size, and its
+    entries [f, enc0, enc1] hold a Wolfram number f and two distinct k-cell
+    codes, with f strictly increasing and the set of f closed under duality
+    (swapping enc0 and enc1 turns a witness of f into one of dual(f))."""
     try:
-        data = _read_json(_shard_path(cache_dir, g, k))
+        data = _read_json(path)
     except (OSError, ValueError, RecursionError):
         return None
     if (not isinstance(data, dict) or data.get("schema") != CACHE_SCHEMA
-            or data.get("rule") != g or data.get("k") != k):
+            or not isinstance(data.get("cells"), list)):
         return None
-    entries = data.get("emulated")
-    if not isinstance(entries, list) or not all(
-            isinstance(e, list) and len(e) == 3 and all(type(x) is int for x in e)
-            and 0 <= e[0] <= 255 and 0 <= e[1] < 1 << k and 0 <= e[2] < 1 << k
-            and e[1] != e[2]
-            for e in entries):
-        return None
+    return [(cell[0], cell[1], [tuple(e) for e in cell[2]])
+            for cell in data["cells"] if _well_formed(cell)]
+
+
+def _well_formed(cell) -> bool:
+    if not (isinstance(cell, list) and len(cell) == 3 and type(cell[0]) is type(cell[1]) is int
+            and 0 <= cell[0] <= 255 and 1 <= cell[1] <= MAX_K and isinstance(cell[2], list)):
+        return False
+    n, entries = 1 << cell[1], cell[2]
+    if not all(isinstance(e, list) and len(e) == 3 and all(type(x) is int for x in e)
+               and 0 <= e[0] <= 255 and 0 <= e[1] < n and 0 <= e[2] < n and e[1] != e[2]
+               for e in entries):
+        return False
     fs = [e[0] for e in entries]
     seen = set(fs)
-    if fs != sorted(seen) or seen != {_DUAL[f] for f in seen}:
-        return None
-    return [tuple(entry) for entry in entries]
+    return fs == sorted(seen) and seen == {_DUAL[f] for f in seen}
 
 
-def _store_shard(cache_dir: str, g: int, k: int, entries: list[tuple[int, int, int]]) -> None:
-    """Write the shard through a temp file of its own, so concurrent runs
-    sharing the cache never write into one file."""
-    text = json.dumps({"schema": CACHE_SCHEMA, "rule": g, "k": k,
-                       "emulated": [list(e) for e in entries]}, sort_keys=True)
-    path = _shard_path(cache_dir, g, k)
-    fd, tmp = tempfile.mkstemp(prefix=os.path.basename(path) + ".", suffix=".tmp",
-                               dir=cache_dir)
+def _load_cache(cache_dir: str) -> dict[tuple[int, int], list[tuple[int, int, int]]]:
+    """The cells of every segment in cache_dir, merged; a cell that two
+    segments (or one) give different entries is left out, a miss."""
+    try:
+        names = os.listdir(cache_dir)
+    except OSError:  # no cache yet, or none readable: every cell a miss
+        return {}
+    merged: dict[tuple[int, int], list[tuple[int, int, int]] | None] = {}
+    for name in names:
+        if name.endswith(".json"):
+            for g, k, entries in _load_shard(os.path.join(cache_dir, name)) or ():
+                if merged.setdefault((g, k), entries) != entries:
+                    merged[(g, k)] = None  # disputed, whatever comes later
+    return {key: entries for key, entries in merged.items() if entries is not None}
+
+
+def _store_shard(cache_dir: str, cells: list[tuple[int, int, list[tuple[int, int, int]]]]) -> None:
+    """Write the cells as one new segment: mkstemp reserves a name no file
+    in cache_dir has, and a temp file of its own replaces that empty file,
+    so concurrent runs sharing the cache never write into one file and no
+    run replaces another's segment."""
+    text = json.dumps({"schema": CACHE_SCHEMA, "cells": cells}, sort_keys=True)
+    fd, path = tempfile.mkstemp(prefix="segment-", suffix=".json", dir=cache_dir)
+    os.close(fd)  # an empty segment reads as no cells until it is replaced
+    fd, tmp = tempfile.mkstemp(prefix="segment-", suffix=".tmp", dir=cache_dir)
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
+        os.unlink(path)
         raise
 
 
@@ -208,9 +234,14 @@ def compute_hierarchy(K: int, reps: list[int] | None = None, workers: int = 1,
     mirror/dual orbit and size, which enumerates the orbit's smallest rule
     once for all of them; tasks are farmed to ``workers`` processes, and
     the merged result is deterministic regardless of scheduling.  With
-    ``cache_dir`` set, finished cells are loaded from / stored to one JSON
-    shard per cell so K can be raised incrementally; an empty ``cache_dir``
-    raises ValueError before any shard is read.
+    ``cache_dir`` set, cells are read from the cache's segments first, so
+    K can be raised incrementally.  New cells arrive in task order, and
+    those of one orbit go into one new segment, written when the next
+    orbit's cells arrive, before a cell would take its text past
+    _MAX_JSON_BYTES, and when the sweep ends or fails: an interrupted sweep
+    keeps every cell it finished, and a killed one loses at most one
+    orbit's.  An empty ``cache_dir`` raises ValueError before any segment
+    is read.
     """
     _check_k(K)  # the largest size, before any cell is computed or stored
     if workers < 1:
@@ -219,22 +250,16 @@ def compute_hierarchy(K: int, reps: list[int] | None = None, workers: int = 1,
         raise ValueError("cache_dir must not be empty")
     sources = REPS if reps is None else tuple(sorted({rep_of(r) for r in reps}))
 
-    cells: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    cells = {} if cache_dir is None else _load_cache(cache_dir)
     pending: dict[tuple[int, int], list[int]] = {}  # (orbit minimum, k) -> missing reps
     for g in sources:
         h = _orbit_min(g)
         for k in range(1, K + 1):
-            if cache_dir is not None:
-                hit = _load_shard(cache_dir, g, k)
-                if hit is not None:
-                    cells[(g, k)] = hit
-                    continue
-            pending.setdefault((h, k), []).append(g)
+            if (g, k) not in cells:
+                pending.setdefault((h, k), []).append(g)
     tasks = [(h, k, tuple(missing)) for (h, k), missing in sorted(pending.items())]
 
     if tasks:
-        # Each shard is stored as soon as its orbit task arrives, so an
-        # interrupted sweep keeps the cells it finished.
         if cache_dir is not None:
             os.makedirs(cache_dir, exist_ok=True)
         workers = min(workers, len(tasks))  # a pool starts all its processes at once
@@ -245,17 +270,31 @@ def compute_hierarchy(K: int, reps: list[int] | None = None, workers: int = 1,
             import numpy  # noqa: F401
             from concurrent.futures import ProcessPoolExecutor
             pool = ProcessPoolExecutor(max_workers=workers)
+        empty = len(json.dumps({"cells": [], "schema": CACHE_SCHEMA}))
+        segment, size, orbit = [], empty, None  # cells not yet stored, of one orbit
         try:
             results = (map(_compute_orbit, tasks) if pool is None
                        else pool.map(_compute_orbit, tasks, chunksize=4))
-            for orbit_cells in results:
-                for g, k, entries in orbit_cells:
+            for (h, _, _), orbit_cells in zip(tasks, results):
+                for cell in orbit_cells:
+                    g, k, entries = cell
                     cells[(g, k)] = entries
-                    if cache_dir is not None:
-                        _store_shard(cache_dir, g, k, entries)
+                    if cache_dir is None:
+                        continue
+                    cost = len(json.dumps(cell)) + 2  # its text and a separator
+                    if segment and (h != orbit or size + cost > _MAX_JSON_BYTES):
+                        full, segment, size = segment, [], empty  # a failed write is not retried
+                        _store_shard(cache_dir, full)
+                    segment.append(cell)
+                    size += cost
+                    orbit = h
         finally:
-            if pool is not None:
-                pool.shutdown()
+            try:
+                if segment:  # the last orbit's cells, or those finished before an error
+                    _store_shard(cache_dir, segment)
+            finally:
+                if pool is not None:
+                    pool.shutdown()
 
     # A closed pair reports both orientations, so every cell is closed under
     # duality and holds each emulated rule's representative.  Sources

@@ -200,36 +200,52 @@ def test_hierarchy_k8_exports_survive_load_json(capsys, tmp_path):
             assert hashlib.sha256(export(graph, fmt)).hexdigest() == digest, fmt
 
 
-def _cache_digest(cache):
+def _cells_digest(cells):
+    """sha256 of the cells (g, k, entries) of a cache, sorted."""
+    return hashlib.sha256(json.dumps(sorted((g, k, e) for (g, k), e in cells.items()))
+                          .encode()).hexdigest()
+
+
+def _segments_digest(cache):
+    """sha256 over the bytes of a cache's segments, in byte order; their
+    names are unique per run, so they are left out."""
     h = hashlib.sha256()
-    for path in sorted(cache.iterdir()):
-        h.update(path.name.encode() + b"\0")
-        h.update(path.read_bytes())
+    for data in sorted(path.read_bytes() for path in cache.glob("*.json")):
+        h.update(data + b"\0")
     return h.hexdigest()
 
 
 def test_hierarchy_k8_shards_unchanged(capsys, tmp_path, monkeypatch):
-    # sha256 over the sorted names and bytes of the shards `eca-emu
-    # hierarchy --kmax 8 --workers 2` writes, recorded before each
-    # mirror/dual orbit was enumerated once for both of its representatives
-    golden = "fc76702a4462204f17313a24cbcde632543c8e0916f6bf9669a3f1224fc3465e"
+    # sha256 of the cells `eca-emu hierarchy --kmax 8 --workers 2` stores,
+    # decoded and sorted, recorded when each cell had a file of its own
+    cells_golden = "70e18abde7d9f888e749260db6ac11be151bbc6f09096f1ba4975ad70198f412"
+    # and of the bytes of the one segment per orbit that hold them now
+    segments_golden = "9f61405b22cd3f2f426de9262ec237f3f60b1c0b127b2bc40f65fc8e79953310"
     cache = tmp_path / "cache"
     code, _ = run(capsys, "hierarchy", "--kmax", "8", "--workers", "2",
                   "--cache-dir", str(cache), "--csv")
     assert code == 0
-    assert len(list(cache.iterdir())) == 136 * 8
-    assert _cache_digest(cache) == golden
-    # 170 and 240 share an orbit: with 240's shard gone, the rerun computes
-    # that orbit from 170's enumeration and writes 240's shard alone
-    (cache / "rule240_k08.json").unlink()
+    segments = sorted(cache.iterdir())
+    assert len(segments) == 88 and all(p.suffix == ".json" for p in segments)
+    cached = hierarchy._load_cache(str(cache))
+    assert len(cached) == 136 * 8
+    assert _cells_digest(cached) == cells_golden
+    assert _segments_digest(cache) == segments_golden
+    # 170 and 240 share an orbit: from a segment that lacks (240, 8), the
+    # rerun computes that orbit from 170's enumeration and stores 240's
+    # cell alone
+    [orbit] = [p for p in segments if (240, 8, cached[(240, 8)]) in hierarchy._load_shard(str(p))]
+    kept = [cell for cell in hierarchy._load_shard(str(orbit)) if cell[:2] != (240, 8)]
+    orbit.unlink()
+    hierarchy._store_shard(str(cache), kept)
     stored = []
     store = hierarchy._store_shard
     monkeypatch.setattr(hierarchy, "_store_shard",
-                        lambda d, g, k, e: (stored.append((g, k)), store(d, g, k, e)))
+                        lambda d, cells: (stored.append([c[:2] for c in cells]), store(d, cells)))
     code, _ = run(capsys, "hierarchy", "--kmax", "8", "--cache-dir", str(cache), "--csv")
     assert code == 0
-    assert stored == [(240, 8)]
-    assert _cache_digest(cache) == golden
+    assert stored == [[(240, 8)]]
+    assert _cells_digest(hierarchy._load_cache(str(cache))) == cells_golden
     # one representative swept alone gets the full sweep's cells, whether
     # it is its orbit's smallest rule (170) or is folded from it (240)
     for rule in (170, 240):
@@ -237,10 +253,9 @@ def test_hierarchy_k8_shards_unchanged(capsys, tmp_path, monkeypatch):
         code, _ = run(capsys, "hierarchy", "--kmax", "8", "--rules", str(rule),
                       "--cache-dir", str(alone), "--csv")
         assert code == 0
-        names = sorted(p.name for p in alone.iterdir())
-        assert names == [f"rule{rule:03d}_k{k:02d}.json" for k in range(1, 9)]
-        for name in names:
-            assert (alone / name).read_bytes() == (cache / name).read_bytes(), name
+        [segment] = alone.iterdir()
+        assert hierarchy._load_shard(str(segment)) == [(rule, k, cached[(rule, k)])
+                                                      for k in range(1, 9)]
 
 
 def test_simulate_writes_pbm(capsys, tmp_path):

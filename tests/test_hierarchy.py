@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -211,15 +212,26 @@ def test_workers_never_outnumber_the_tasks(monkeypatch):
     assert _RecordingPool.sizes == [2]
 
 
+_real_compute_orbit = hierarchy._compute_orbit
+
+
+def _segments(cache):
+    """The cache's segment files, by name."""
+    return sorted(cache.glob("*.json"))
+
+
 def test_cache_shards_roundtrip(tmp_path, graph_k2):
     cache = str(tmp_path / "cache")
     first = compute_hierarchy(2, cache_dir=cache)
     assert export(first, "json") == export(graph_k2, "json")
-    shards = list((tmp_path / "cache").glob("rule*_k*.json"))
-    assert len(shards) == 136 * 2
-    # second run is served from the shards and must agree byte for byte
+    # one segment per orbit, holding both sizes of each of its representatives
+    segments = _segments(tmp_path / "cache")
+    assert len(segments) == 88
+    assert sorted(len(_load_shard(str(p))) for p in segments) == [2] * 40 + [4] * 48
+    # second run is served from the segments and must agree byte for byte
     second = compute_hierarchy(2, cache_dir=cache)
     assert export(second, "json") == export(first, "json")
+    assert len(_segments(tmp_path / "cache")) == 88
 
 
 def _failing_orbit(args):
@@ -227,9 +239,10 @@ def _failing_orbit(args):
 
 
 def test_two_sweeps_share_one_cache(tmp_path, capsys, monkeypatch):
-    # Two runs started together on one empty cache write the same shards
-    # through temp files of their own: both print the uncached output, and
-    # the cache they leave serves a third run without any computation.
+    # Two runs started together on one empty cache write segments of their
+    # own: both print the uncached output, and the cache they leave, where
+    # a cell may come twice with identical entries, serves a third run
+    # without any computation.
     argv = ["hierarchy", "--kmax", "7", "--json"]
     assert cli.main(argv) == 0
     expected = capsys.readouterr().out.encode()
@@ -242,8 +255,10 @@ def test_two_sweeps_share_one_cache(tmp_path, capsys, monkeypatch):
     outs = [run.communicate(timeout=300)[0] for run in runs]
     assert [run.returncode for run in runs] == [0, 0]
     assert outs == [expected, expected]
-    assert len(list(cache.glob("rule*_k*.json"))) == 136 * 7
+    assert 88 <= len(_segments(cache)) <= 2 * 88
     assert list(cache.glob("*.tmp")) == []
+    assert set(hierarchy._load_cache(str(cache))) == {
+        (g, k) for g in hierarchy.REPS for k in range(1, 8)}
     monkeypatch.setattr(hierarchy, "_compute_orbit", _failing_orbit)
     assert cli.main([*argv, "--cache-dir", str(cache)]) == 0
     assert capsys.readouterr().out.encode() == expected
@@ -257,62 +272,162 @@ def test_cache_ignores_foreign_schema(tmp_path):
     assert g.edge(0, 0) is not None
 
 
-
-@pytest.mark.parametrize("text", [
-    '[]',
-    '{"schema": 1, "rule": 0, "k": 1}',
-    '{"schema": 1, "rule": 0, "k": 1, "emulated": {}}',
-    '{"schema": 1, "rule": 0, "k": 1, "emulated": [[0, 0]]}',
-    '{"schema": 1, "rule": 0, "k": 1, "emulated": [[0, "0", 1]]}',
-    '{"schema": 1, "rule": 0, "k": 1, "emulated": [[300, 0, 1]]}',  # no Wolfram number
-    '{"schema": 1, "rule": 0, "k": 1, "emulated": [[0, 5, 1]]}',    # no 1-cell code
-    '{"schema": 1, "rule": 0, "k": 1, "emulated": [[0, 1, 1]]}',    # not one-to-one
-    '{"schema": 1, "rule": 0, "k": 1, "emulated": [[7, 0, 1]]}',    # dual 31 missing
-    # f repeated, and out of order, each in a set closed under duality
-    '{"schema": 1, "rule": 0, "k": 1, "emulated": [[0, 0, 1], [0, 1, 0], [255, 1, 0]]}',
-    '{"schema": 1, "rule": 0, "k": 1, "emulated": [[255, 1, 0], [0, 0, 1]]}',
-    pytest.param("[" * 100_000, id="nested-past-the-recursion-limit"),
-    pytest.param("[" * 60_000, id="nested-within-the-size-bound"),
-    # the true cell, padded past 2^16 bytes: never parsed
-    pytest.param('{"emulated": [[0, 0, 1], [255, 1, 0]], "k": 1, "rule": 0, "schema": 1}'
-                 + " " * (1 << 16), id="padded-past-the-size-bound"),
-])
-def test_cache_misshapen_shard_is_a_miss(tmp_path, text):
+def test_cache_of_per_cell_shards_is_all_misses(tmp_path, graph_k2, monkeypatch):
+    # A cache of the schema-1 layout, one file per cell, holds the true
+    # cells; none of them is read, every orbit is computed again, and the
+    # output is unchanged.  The old files stay as they were.
     cache = tmp_path / "cache"
     cache.mkdir()
-    (cache / "rule000_k01.json").write_text(text)
-    assert _load_shard(str(cache), 0, 1) is None
-    g = compute_hierarchy(1, reps=[0], cache_dir=str(cache))
+    for h, reps in _orbits().items():
+        for g, k, entries in (cell for k in (1, 2) for cell in _real_compute_orbit((h, k, reps))):
+            (cache / f"rule{g:03d}_k{k:02d}.json").write_text(json.dumps(
+                {"schema": 1, "rule": g, "k": k, "emulated": entries}, sort_keys=True))
+    old = {p.name: p.read_bytes() for p in cache.iterdir()}
+    assert len(old) == 136 * 2
+    computed = []
+    monkeypatch.setattr(hierarchy, "_compute_orbit",
+                        lambda args: (computed.append(args), _real_compute_orbit(args))[1])
+    assert export(compute_hierarchy(2, cache_dir=str(cache)), "json") == export(graph_k2, "json")
+    assert len(computed) == 88 * 2
+    assert {p.name: p.read_bytes() for p in cache.iterdir() if p.name in old} == old
+    assert len(list(cache.iterdir())) == len(old) + 88
+
+
+# the true cells (0, 1) and (1, 1)
+_CELL01 = [0, 1, [[0, 0, 1], [255, 1, 0]]]
+_CELL11 = [1, 1, [[1, 0, 1], [127, 1, 0]]]
+
+
+@pytest.mark.parametrize("bad", [
+    # whole files, every cell in them a miss
+    '[]',
+    '{"schema": 2}',
+    '{"schema": 2, "cells": {}}',
+    pytest.param(json.dumps({"schema": 1, "cells": [_CELL01, _CELL11]}), id="schema-1"),
+    pytest.param("[" * 100_000, id="nested-past-the-recursion-limit"),
+    pytest.param("[" * 60_000, id="nested-within-the-size-bound"),
+    # the true cells, padded past 2^16 bytes: never parsed
+    pytest.param(json.dumps({"schema": 2, "cells": [_CELL01, _CELL11]}) + " " * (1 << 16),
+                 id="padded-past-the-size-bound"),
+    # cells of (0, 1), each a miss beside the true (1, 1)
+    [0, 1],
+    ["0", 1, _CELL01[2]],
+    [0, True, _CELL01[2]],
+    [0, 1, {}],
+    [0, 1, [[0, 0]]],
+    [0, 1, [[0, "0", 1]]],
+    [0, 1, [[300, 0, 1]]],                  # no Wolfram number
+    [0, 1, [[0, 5, 1]]],                    # no 1-cell code
+    [0, 1, [[0, 1, 1]]],                    # not one-to-one
+    [0, 1, [[7, 0, 1]]],                    # dual 31 missing
+    # f repeated, and out of order, each in a set closed under duality
+    [0, 1, [[0, 0, 1], [0, 1, 0], [255, 1, 0]]],
+    [0, 1, [[255, 1, 0], [0, 0, 1]]],
+    # and cells of no supercell size
+    [0, 0, []],
+    [0, 21, []],
+])
+def test_cache_misshapen_shard_is_a_miss(tmp_path, bad, monkeypatch):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    whole_file = isinstance(bad, str)
+    (cache / "segment-bad.json").write_text(
+        bad if whole_file else json.dumps({"schema": 2, "cells": [bad, _CELL11]}))
+    hits = [] if whole_file else [(1, 1, [tuple(e) for e in _CELL11[2]])]
+    assert (_load_shard(str(cache / "segment-bad.json")) or []) == hits
+    computed = []
+    monkeypatch.setattr(hierarchy, "_compute_orbit",
+                        lambda args: (computed.append(args), _real_compute_orbit(args))[1])
+    g = compute_hierarchy(1, reps=[0, 1], cache_dir=str(cache))
     assert g.edge(0, 0) is not None
-    # the recomputed cell replaced the bad shard
-    assert [(0, 1, _load_shard(str(cache), 0, 1))] == hierarchy._compute_orbit((0, 1, (0,)))
+    assert computed == [(0, 1, (0,))] + ([(1, 1, (1,))] if whole_file else [])
+    # the recomputed cells went into a segment of their own
+    cached = hierarchy._load_cache(str(cache))
+    assert [(g, 1, cached[(g, 1)]) for g in (0, 1)] == [
+        *_real_compute_orbit((0, 1, (0,))), *_real_compute_orbit((1, 1, (1,)))]
+
+
+def test_cache_disagreeing_segments_are_a_miss(tmp_path, monkeypatch):
+    # Two segments give (0, 1) different, each well-formed, entries: the
+    # cell is a miss and is computed again; (1, 1), given twice alike, is a
+    # hit.  The second entry list is a forged pair of dual entries.
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    true01, true11 = _real_compute_orbit((0, 1, (0,)))[0], _real_compute_orbit((1, 1, (1,)))[0]
+    forged01 = (0, 1, [(7, 0, 1), (31, 1, 0)])
+    _store_shard(str(cache), [true01, true11])
+    _store_shard(str(cache), [forged01, true11])
+    assert (0, 1) not in hierarchy._load_cache(str(cache))
+    computed = []
+    monkeypatch.setattr(hierarchy, "_compute_orbit",
+                        lambda args: (computed.append(args), _real_compute_orbit(args))[1])
+    g = compute_hierarchy(1, reps=[0, 1], cache_dir=str(cache))
+    assert computed == [(0, 1, (0,))]
+    assert g.edge(0, 7) is None and g.edge(0, 0) is not None
+    assert len(_segments(cache)) == 3
 
 
 def test_cache_largest_shard_fits_the_bound(tmp_path):
-    # 256 entries with 20-cell codes under a 3-digit rule is the most
-    # _store_shard writes
+    # 256 entries with 20-cell codes under a 3-digit rule is the largest
+    # cell a sweep stores
     k = 20
     entries = [(f, (1 << k) - 1, (1 << k) - 2) for f in range(256)]
-    _store_shard(str(tmp_path), 204, k, entries)
-    assert (tmp_path / "rule204_k20.json").stat().st_size == 6339
-    assert _load_shard(str(tmp_path), 204, k) == entries
+    _store_shard(str(tmp_path), [(204, k, entries)])
+    [segment] = _segments(tmp_path)
+    assert segment.stat().st_size == 6327
+    assert _load_shard(str(segment)) == [(204, k, entries)]
+
+
+def _orbit_of_204_full(args):
+    # every f, with the two largest k-cell codes: as large as a cell of size k gets
+    h, k, reps = args
+    return [(g, k, [(f, (1 << k) - 1, (1 << k) - 2) for f in range(256)]) for g in reps]
+
+
+def test_cache_segments_split_at_the_size_bound(tmp_path, monkeypatch):
+    # Rule 204's orbit holds only 204, and its 20 largest cells take ~84 KB
+    # of text: the sweep splits them into segments within 2^16 bytes, and
+    # each loads back
+    monkeypatch.setattr(hierarchy, "_compute_orbit", _orbit_of_204_full)
+    cells = [cell for k in range(1, 21) for cell in _orbit_of_204_full((204, k, (204,)))]
+    assert len(json.dumps({"cells": cells, "schema": 2})) > hierarchy._MAX_JSON_BYTES
+    compute_hierarchy(20, reps=[204], cache_dir=str(tmp_path))
+    segments = _segments(tmp_path)
+    assert len(segments) == 2
+    assert all(p.stat().st_size <= hierarchy._MAX_JSON_BYTES for p in segments)
+    loaded = [cell for p in segments for cell in _load_shard(str(p))]
+    assert sorted(loaded) == cells
 
 
 def test_cache_write_leaves_stale_temp_alone(tmp_path):
     cache = tmp_path / "cache"
     cache.mkdir()
-    stale = cache / "rule000_k01.json.tmp"
-    stale.write_text("half a shard from another run")
+    stale = cache / "segment-stale.tmp"
+    stale.write_text("half a segment from another run")
     compute_hierarchy(1, reps=[0], cache_dir=str(cache))
-    assert stale.read_text() == "half a shard from another run"
-    assert [(0, 1, _load_shard(str(cache), 0, 1))] == hierarchy._compute_orbit((0, 1, (0,)))
-    assert sorted(p.name for p in cache.iterdir()) == ["rule000_k01.json",
-                                                       "rule000_k01.json.tmp"]
+    assert stale.read_text() == "half a segment from another run"
+    [segment] = _segments(cache)
+    assert _load_shard(str(segment)) == _real_compute_orbit((0, 1, (0,)))
+    assert sorted(p.name for p in cache.iterdir()) == sorted([segment.name, stale.name])
+
+
+def test_cache_write_never_replaces_a_segment(tmp_path, monkeypatch):
+    # mkstemp draws names at random and skips those taken; a segment named
+    # after its temp file would replace another run's segment whose name
+    # the draw repeats
+    (tmp_path / "segment-same.json").write_text("another run's segment")
+    names = iter(["same", "other", "same"])
+    monkeypatch.setattr(tempfile, "_get_candidate_names", lambda: names)
+    _store_shard(str(tmp_path), [(0, 1, [(0, 0, 1), (255, 1, 0)])])
+    assert (tmp_path / "segment-same.json").read_text() == "another run's segment"
+    assert _load_shard(str(tmp_path / "segment-other.json")) == [(0, 1, [(0, 0, 1), (255, 1, 0)])]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["segment-other.json",
+                                                         "segment-same.json"]
 
 
 def test_cache_failed_write_removes_its_temp(tmp_path, monkeypatch):
     with pytest.raises(TypeError):  # a set is not JSON serializable
-        _store_shard(str(tmp_path), 0, 1, [(0, 0, {1})])
+        _store_shard(str(tmp_path), [(0, 1, [(0, 0, {1})])])
     assert list(tmp_path.iterdir()) == []
 
     # a write that fails once its temp file exists removes that file
@@ -322,11 +437,8 @@ def test_cache_failed_write_removes_its_temp(tmp_path, monkeypatch):
 
     monkeypatch.setattr(hierarchy.os, "replace", refuse)
     with pytest.raises(OSError, match="rename refused"):
-        _store_shard(str(tmp_path), 0, 1, [(0, 0, 1)])
+        _store_shard(str(tmp_path), [(0, 1, [(0, 0, 1)])])
     assert list(tmp_path.iterdir()) == []
-
-
-_real_compute_orbit = hierarchy._compute_orbit
 
 
 def _orbit_failing_at_2_3(args):
@@ -352,12 +464,14 @@ def test_interrupted_parallel_sweep_keeps_finished_shards(tmp_path, monkeypatch)
     # its own had returned, with the cells of both representatives.
     finished = [(0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3),
                 (2, 1), (16, 1), (2, 2), (16, 2)]
+    cached = hierarchy._load_cache(str(cache))
     for g, k in finished:
-        assert _load_shard(str(cache), g, k) == _direct_cell(g, k), (g, k)
-    assert _load_shard(str(cache), 2, 3) is None
-    assert _load_shard(str(cache), 16, 3) is None
-    assert sorted(p.name for p in cache.iterdir()) == sorted(
-        f"rule{g:03d}_k{k:02d}.json" for g, k in finished)
+        assert cached[(g, k)] == _direct_cell(g, k), (g, k)
+    assert sorted(cached) == sorted(finished)
+    # orbits 0 and 1 were written when the next orbit's cells arrived, and
+    # the cells of orbit 2 that had finished when the sweep failed
+    assert sorted(len(_load_shard(str(p))) for p in _segments(cache)) == [3, 3, 4]
+    assert list(cache.glob("*.tmp")) == []
 
 
 def test_orbit_tasks_cover_every_representative_once():
