@@ -35,6 +35,7 @@ import random
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from itertools import combinations
 from typing import TYPE_CHECKING
 
 from .rules import (
@@ -711,10 +712,10 @@ def proper_subalgebra_search(g: EcaRule, k: int) -> Subalgebra | None:
     points much: at k = 7 rule 150 closes all 8,128 pairs of its 128 (4-9 s).
 
     The sweep closes few singletons.  With d the diagonal map, the
-    children of u are the eight products of the pair (u, d(u)): d(u),
-    d(d(u)) and the six mixed selection patterns, evaluated for every u in
-    one batch.  Each child c lies in closure(u), so closure(c) is a subset
-    of closure(u), and a child that generates the full algebra makes u
+    children of u are d(u) and the six mixed products of the pair (u, d(u));
+    the eighth, d(d(u)), is d(u) or a child of it, so marks reach it through
+    d(u).  Each child c lies in closure(u), so closure(c) is a subset of
+    closure(u), and a child that generates the full algebra makes u
     generate it too.  The sweep walks u in ascending order, skips the fixed
     points (d(u) = u, whose closure is {u}) and the elements already known
     to generate everything, and closes only the u that remain.  A proper
@@ -722,8 +723,8 @@ def proper_subalgebra_search(g: EcaRule, k: int) -> Subalgebra | None:
     backwards, from children to parents, until nothing changes.  Only
     elements whose closure is full are ever marked, so the sweep stops at
     the same u as one that closes every singleton, with the same set.
-    The children take 8 x 2^k words of memory; the kernel sees them in
-    blocks of ``_CHUNK`` words.
+    The children table holds 7 x 2^k int32 entries, 28 MiB at k = 20; the
+    kernel writes it in blocks of ``_CHUNK`` words.
     """
     import numpy as np
 
@@ -736,18 +737,18 @@ def proper_subalgebra_search(g: EcaRule, k: int) -> Subalgebra | None:
         return _as_subalgebra(g, k, [int(U[0]), int(V[0])])
     cells = np.arange(n, dtype=np.uint64)
     moved = diag != cells
-    # Row j, column u: a child of u.  The mixed patterns run in one batch,
-    # split into kernel calls of at most _CHUNK words.
-    kids = np.empty((8, n), dtype=np.int64)
-    mixed = np.concatenate([_pattern_words(p, cells, diag, k) for p in _MIXED_PATTERNS])
-    flat = kids[:6].reshape(-1)
-    for lo in range(0, len(mixed), _CHUNK):
-        flat[lo:lo + _CHUNK] = _unravel_batch(g.wolfram, mixed[lo:lo + _CHUNK], 3 * k, k)
+    # Row j, column u: a child of u, the six mixed products and then d(u).
+    # One kernel call of about _CHUNK words takes all six of a block of u.
+    kids = np.empty((7, n), dtype=np.int32)
+    step = max(1, _CHUNK // len(_MIXED_PATTERNS))
+    for lo in range(0, n, step):
+        u, v = cells[lo:lo + step], diag[lo:lo + step]
+        words = np.concatenate([_pattern_words(p, u, v, k) for p in _MIXED_PATTERNS])
+        kids[:6, lo:lo + step] = _unravel_batch(g.wolfram, words, 3 * k, k).reshape(6, -1)
     kids[6] = diag
-    kids[7] = diag[kids[6]]
     blows_up = np.zeros(n, dtype=bool)
-    for u in np.flatnonzero(moved).tolist():
-        if blows_up[u]:
+    for u in range(n):
+        if blows_up[u] or not moved[u]:
             continue
         elems = _close(g.wolfram, k, [u], n - 1, blows_up)
         if elems is not None:
@@ -758,12 +759,10 @@ def proper_subalgebra_search(g: EcaRule, k: int) -> Subalgebra | None:
             if not grew.any():
                 break
             blows_up |= grew
-    fixed = np.flatnonzero(~moved).tolist()
-    for i, u in enumerate(fixed):
-        for v in fixed[i + 1:]:
-            elems = _close(g.wolfram, k, [u, v], n - 1, blows_up)
-            if elems is not None:
-                return _as_subalgebra(g, k, elems)
+    for u, v in combinations(np.flatnonzero(~moved).tolist(), 2):
+        elems = _close(g.wolfram, k, [u, v], n - 1, blows_up)
+        if elems is not None:
+            return _as_subalgebra(g, k, elems)
     return None
 
 

@@ -520,6 +520,43 @@ def test_chaos_outputs_unchanged(capsys):
         "37045368368092e4783307423b4fcb1973228d2b75dd6b8f90228783f4764309"
 
 
+def test_chaotic_orbits_part_at_size_twelve(capsys, tmp_path):
+    # Through size 11 neither chaotic orbit has a proper subalgebra.  At
+    # size 12 the orbit of 45 (45, 75, 89, 101) has a closed pair, and 45
+    # emulates rule 15 and the memory rule 240 there; the orbit of 30
+    # (30, 86, 135, 149) still has none.
+    for g in (45, 75, 89, 101):
+        found = emulation.proper_subalgebra_search(R(g), 12)
+        assert found is not None and len(found.elements) == 2, g
+    for g in (30, 86, 135, 149):
+        assert emulation.proper_subalgebra_search(R(g), 12) is None, g
+    path = tmp_path / "w.json"
+    code, out = run(capsys, "emulate", "15", "45", "--k", "12", "-o", str(path))
+    witness = json.loads(out)
+    assert code == 0 and (witness["enc0"], witness["enc1"]) == ("100110000000", "100101000000")
+    code, out = run(capsys, "verify", str(path), "--length", "60", "--horizon", "20",
+                    "--samples", "200")
+    assert (code, out) == (0, "valid\n")
+    code, out = run(capsys, "emulate", "240", "45", "--k", "12")
+    witness = json.loads(out)
+    assert code == 0 and (witness["enc0"], witness["enc1"]) == ("111001100000", "111001001000")
+
+
+@pytest.mark.skipif(os.environ.get("ECA_EMULATION_EXTENDED") != "1",
+                    reason="set ECA_EMULATION_EXTENDED=1 for the full-depth runs")
+@pytest.mark.parametrize("g, expected", [
+    (30, "8661588b960468c84e09e6caed3684835da1e363f5fce81ee4173be5ddd26044"),
+    (45, "e49e36f90b468e573c7ea9d10bb457bf2cb87739e52ee5620d157f85edbc0db0"),
+])
+def test_chaos_to_the_kernel_limit_extended(capsys, g, expected):
+    # sha256 of the stdout of `eca-emu chaos g --kmax 20`, recorded before
+    # the search's children table went int32: 30 has no proper subalgebra
+    # at any size 2..20, and 45 has a closed pair at sizes 12, 15 and 18
+    code, out = run(capsys, "chaos", str(g), "--kmax", "20")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
 def test_bench_smoke(capsys):
     code, out = run(capsys, "bench", "--k", "3", "--rule", "148")
     assert code == 0

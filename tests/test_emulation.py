@@ -757,6 +757,44 @@ def test_search_matches_per_element_sweep_larger(n, k):
     assert proper_subalgebra_search(R(n), k) == search_per_element(R(n), k)
 
 
+def singletons_closed_by_reference_sweep(g, k):
+    """The singletons the search closes when its children of u are all
+    eight products of the pair (u, d(u)), d(d(u)) included, each from
+    supercell_step, and its marks spread one element at a time."""
+    n = 1 << k
+    words = [Word(u, k) for u in range(n)]
+    d = [supercell_step(g, k, w, w, w).bits for w in words]
+    kids = [{supercell_step(g, k, *(words[d[u]] if (p >> s) & 1 else words[u]
+                                    for s in (2, 1, 0))).bits for p in range(8)}
+            for u in range(n)]
+    closed, marked = [], np.zeros(n, dtype=bool)
+    for u in range(n):
+        if marked[u] or d[u] == u:
+            continue
+        closed.append(u)
+        if emulation._close(g.wolfram, k, [u], n - 1, marked) is not None:
+            break
+        marked[u] = True
+        while grew := [v for v in range(n) if not marked[v] and d[v] != v
+                       and any(marked[c] for c in kids[v])]:
+            marked[grew] = True
+    return closed
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_search_closes_the_singletons_of_the_reference_sweep(k):
+    # the children table decides which singletons the sweep skips; it may
+    # leave out d(d(u)), which marks reach through d(u), but no other child
+    for n in range(256):
+        g = R(n)
+        if next(emulation._closed_pairs(n, k, emulation._diagonal_map(n, k)), None):
+            continue  # the pair scan answers before any closure
+        with mock.patch.object(emulation, "_close", wraps=emulation._close) as close:
+            proper_subalgebra_search(g, k)
+        singles = [c.args[2][0] for c in close.call_args_list if len(c.args[2]) == 1]
+        assert singles == singletons_closed_by_reference_sweep(g, k), n
+
+
 @settings(max_examples=40, deadline=None)
 @given(g=st.integers(0, 255), k=st.integers(1, 6), chunk=st.integers(1, 2100))
 @example(g=148, k=3, chunk=3)
@@ -797,6 +835,20 @@ def test_rule_map_memory_stays_flat():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+@needs_extended
+def test_search_memory_at_the_kernel_limit_extended():
+    # the children table of 7 x 2^20 int32 entries is 28 MiB, and the gate
+    # leaves room for the diagonal map and the first closure; int64 rows
+    # filled from one batch of all six patterns peaked at ~226 MiB
+    tracemalloc.start()
+    try:
+        assert proper_subalgebra_search(R(45), 20) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * 2**20
 
 
 def test_self_similarity():

@@ -1,9 +1,9 @@
 import concurrent.futures
+import hashlib
 import json
 import os
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -349,8 +349,9 @@ def test_cache_misshapen_shard_is_a_miss(tmp_path, bad, monkeypatch):
 
 def test_cache_disagreeing_segments_are_a_miss(tmp_path, monkeypatch):
     # Two segments give (0, 1) different, each well-formed, entries: the
-    # cell is a miss and is computed again; (1, 1), given twice alike, is a
-    # hit.  The second entry list is a forged pair of dual entries.
+    # cell is a miss and is computed again on every run, into the same
+    # segment each time; (1, 1), given twice alike, is a hit.  The second
+    # entry list is a forged pair of dual entries.
     cache = tmp_path / "cache"
     cache.mkdir()
     true01, true11 = _real_compute_orbit((0, 1, (0,)))[0], _real_compute_orbit((1, 1, (1,)))[0]
@@ -361,10 +362,12 @@ def test_cache_disagreeing_segments_are_a_miss(tmp_path, monkeypatch):
     computed = []
     monkeypatch.setattr(hierarchy, "_compute_orbit",
                         lambda args: (computed.append(args), _real_compute_orbit(args))[1])
-    g = compute_hierarchy(1, reps=[0, 1], cache_dir=str(cache))
-    assert computed == [(0, 1, (0,))]
-    assert g.edge(0, 7) is None and g.edge(0, 0) is not None
-    assert len(_segments(cache)) == 3
+    for run in range(2):
+        g = compute_hierarchy(1, reps=[0, 1], cache_dir=str(cache))
+        assert computed == [(0, 1, (0,))] * (run + 1)
+        assert g.edge(0, 7) is None and g.edge(0, 0) is not None
+        # the recomputed cell's segment is the same on every run
+        assert len(_segments(cache)) == 3
 
 
 def test_cache_largest_shard_fits_the_bound(tmp_path):
@@ -411,18 +414,20 @@ def test_cache_write_leaves_stale_temp_alone(tmp_path):
     assert sorted(p.name for p in cache.iterdir()) == sorted([segment.name, stale.name])
 
 
-def test_cache_write_never_replaces_a_segment(tmp_path, monkeypatch):
-    # mkstemp draws names at random and skips those taken; a segment named
-    # after its temp file would replace another run's segment whose name
-    # the draw repeats
-    (tmp_path / "segment-same.json").write_text("another run's segment")
-    names = iter(["same", "other", "same"])
-    monkeypatch.setattr(tempfile, "_get_candidate_names", lambda: names)
-    _store_shard(str(tmp_path), [(0, 1, [(0, 0, 1), (255, 1, 0)])])
-    assert (tmp_path / "segment-same.json").read_text() == "another run's segment"
-    assert _load_shard(str(tmp_path / "segment-other.json")) == [(0, 1, [(0, 0, 1), (255, 1, 0)])]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["segment-other.json",
-                                                         "segment-same.json"]
+def test_cache_write_never_replaces_a_segment(tmp_path):
+    # a segment is named by the sha256 of its text: storing other cells
+    # leaves another file untouched, and storing the same cells again
+    # replaces their segment with the same bytes instead of adding one
+    (tmp_path / "segment-other.json").write_text("another run's segment")
+    cells = [(0, 1, [(0, 0, 1), (255, 1, 0)])]
+    for _ in range(2):
+        _store_shard(str(tmp_path), cells)
+    assert (tmp_path / "segment-other.json").read_text() == "another run's segment"
+    [segment] = [p for p in _segments(tmp_path) if p.name != "segment-other.json"]
+    text = segment.read_bytes()
+    assert segment.name == f"segment-{hashlib.sha256(text).hexdigest()}.json"
+    assert _load_shard(str(segment)) == cells
+    assert len(list(tmp_path.iterdir())) == 2
 
 
 def test_cache_failed_write_removes_its_temp(tmp_path, monkeypatch):
