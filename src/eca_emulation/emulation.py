@@ -56,8 +56,10 @@ if TYPE_CHECKING:
 
 # Chunk size for the batched scans; results never depend on it.  At 2^14
 # uint64 words (128 KiB) the temporaries of one kernel step stay in a 2 MiB
-# L2 cache: on a 2-core Xeon VM, emulated_rule_map(204, 11) took 1.0-1.6 s
-# with it and 2.3-2.8 s with chunks of 2^16.
+# L2 cache: on a 2-core Xeon VM (quartiles of 12 alternating runs),
+# emulated_rule_map(42, 11, [42, 112]) took 100-110 ms with it and 147-164 ms
+# with chunks of 2^16, and draining _closed_pairs(204, 11) 86-100 ms against
+# 141-155 ms.
 _CHUNK = 1 << 14
 
 # Encoded bits per packed block of verify_witness samples; results never
@@ -248,11 +250,16 @@ _MIXED_PATTERNS = (1, 2, 4, 3, 5, 6)
 
 
 def _diagonal_map(wolfram: int, k: int) -> np.ndarray:
-    """d[u] = supercell_step(g, k, u, u, u) for every supercell u."""
+    """d[u] = supercell_step(g, k, u, u, u) for every supercell u, written
+    into one array in kernel calls of ``_CHUNK`` words."""
     import numpy as np
 
-    e = np.arange(1 << k, dtype=np.uint64)
-    return _unravel_batch(wolfram, _pattern_words(0, e, e, k), 3 * k, k)
+    n = 1 << k
+    d = np.empty(n, dtype=np.uint64)
+    for lo in range(0, n, _CHUNK):
+        e = np.arange(lo, min(lo + _CHUNK, n), dtype=np.uint64)
+        d[lo:lo + _CHUNK] = _unravel_batch(wolfram, _pattern_words(0, e, e, k), 3 * k, k)
+    return d
 
 
 def _pattern_words(p: int, u: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
@@ -297,12 +304,15 @@ def _pattern_classes(wolfram: int) -> tuple[np.uint16, np.uint16,
     return to_u, to_v, tuple((q, np.uint16(bits)) for q, bits in classes.items())
 
 
-def _closed_pairs(wolfram: int, k: int, diag: np.ndarray
+def _closed_pairs(wolfram: int, k: int, diag: np.ndarray, triangle: bool = True
                   ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The pairs {u, v} (u < v) closed under the supercell operation, in
     both orientations.
 
-    ``diag`` is the diagonal map ``_diagonal_map(wolfram, k)``.
+    ``diag`` is the diagonal map ``_diagonal_map(wolfram, k)``.  With
+    ``triangle`` false the pairs of two diagonal fixed points are left out
+    and only the image pairs below are scanned; emulated_rule_map folds
+    the triangle in closed form for the rules that read one cell or none.
 
     Yields chunks (U, V, W) in scan order: the pairs of a chunk ascend by
     (u, v) and every pair of a chunk precedes every pair of the next.
@@ -328,7 +338,8 @@ def _closed_pairs(wolfram: int, k: int, diag: np.ndarray
     equals a constant pattern's is the diagonal map's, so it keeps every
     candidate and costs no kernel call.  Rules that read one cell or none
     (0, 15, 51, 85, 170, 204, 240, 255) thus make no kernel call past the
-    diagonal map, and 20 rules evaluate 2 products instead of 6.  The
+    diagonal map, every fixed-point pair of theirs is closed and induces
+    the same rule, and 20 rules evaluate 2 products instead of 6.  The
     survivors and W are those of all six patterns, and nothing of the size
     of the pair space is ever built.  Chunks in which no candidate survives
     are not yielded.
@@ -350,7 +361,7 @@ def _closed_pairs(wolfram: int, k: int, diag: np.ndarray
     m = len(fix)
     rows = np.arange(max(m - 1, 0), dtype=np.int64)
     starts = rows * (m - 1) - rows * (rows - 1) // 2  # triangle index of (i, i + 1)
-    total = m * (m - 1) // 2
+    total = m * (m - 1) // 2 if triangle else 0
     lo = taken = 0
     while lo < total or taken < len(images):
         t = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
@@ -410,6 +421,17 @@ def emulated_rules(g: EcaRule, k: int) -> list[tuple[EcaRule, Encoding]]:
             for f, a, b in zip(wol[order].tolist(), e0[order].tolist(), e1[order].tolist())]
 
 
+def _triangle_keys(c: np.ndarray, k: int) -> tuple[np.uint64, np.uint64]:
+    """The least c[i] << k | c[j] and the least c[j] << k | c[i] over all
+    i < j, for at least two k-bit entries c: one running minimum each."""
+    import numpy as np
+
+    sk = np.uint64(k)
+    tail = np.minimum.accumulate(c[::-1])[::-1]  # tail[i] = min(c[i:])
+    head = np.minimum.accumulate(c)  # head[j] = min(c[:j + 1])
+    return (c[:-1] << sk | tail[1:]).min(), (c[1:] << sk | head[:-1]).min()
+
+
 def emulated_rule_map(g: EcaRule, k: int, targets=None) -> dict:
     """Map each emulated Wolfram number to its minimal witnessing encoding.
 
@@ -428,6 +450,14 @@ def emulated_rule_map(g: EcaRule, k: int, targets=None) -> dict:
     via the complements (~u, ~v).  So each chunk is folded once per target
     through the map that carries g to it, and the minimum over the images
     of all of g's closed pairs is t's own scan-order-minimal witness.
+
+    When g reads one cell or none (``_pattern_classes`` evaluates no
+    product), every pair of diagonal fixed points is closed and induces
+    ``to_v`` in ascending orientation, dual(``to_v``) in descending.  So
+    the triangle is folded in closed form, by ``_triangle_keys`` of the
+    target's images of the ascending fixed points, and ``_closed_pairs``
+    scans only the image pairs; the direct fold walks all m(m - 1)
+    oriented pairs, 4,192,256 for rule 204 at k = 11.
     """
     import numpy as np
 
@@ -451,7 +481,16 @@ def emulated_rule_map(g: EcaRule, k: int, targets=None) -> dict:
             if dualized:
                 cells ^= np.uint64(n - 1)
         folds.append((t, np.full(256, none, dtype=np.uint64), cells, mirrored))
-    for u, v, w in _closed_pairs(g.wolfram, k, _diagonal_map(g.wolfram, k)):
+    to_v, evaluated = _pattern_classes(g.wolfram)[1:]
+    diag = _diagonal_map(g.wolfram, k)
+    fix = np.flatnonzero(diag == np.arange(n, dtype=np.uint64))
+    if not evaluated and len(fix) > 1:
+        for _, best, cells, mirrored in folds:
+            keys = _triangle_keys(fix.astype(np.uint64) if cells is None else cells[fix], k)
+            for f, key in zip((int(to_v), _DUAL[to_v]), keys):
+                f = _MIRROR[f] if mirrored else f
+                best[f] = min(best[f], key)
+    for u, v, w in _closed_pairs(g.wolfram, k, diag, triangle=bool(evaluated)):
         for _, best, cells, mirrored in folds:
             a, b = (u, v) if cells is None else (cells[u.astype(np.int64)],
                                                  cells[v.astype(np.int64)])

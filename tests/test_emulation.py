@@ -373,6 +373,79 @@ def test_rules_reading_one_cell_make_no_kernel_call_past_the_diagonal():
             assert kernel.call_count == 1, (g, k)
 
 
+# the rules that read one cell or none, one per orbit under mirror and dual
+ONE_BLOCK_ORBITS = (0, 15, 51, 170, 204)
+
+
+def rule_map_direct_fold(g, k, targets):
+    """emulated_rule_map(R(g), k, targets) folded directly: every oriented
+    closed pair, the fixed-point triangle included, goes through
+    np.minimum.at once per target; the reference for the closed form."""
+    n = 1 << k
+    none = np.iinfo(np.uint64).max
+    sk = np.uint64(k)
+    mirror_arr = np.array([mirror(R(f)).wolfram for f in range(256)])
+    folds = []
+    for t in targets:
+        mirrored, dualized = emulation._conjugates(g)[t]
+        cells = np.arange(n, dtype=np.uint64)
+        if mirrored:
+            cells = sum((cells >> np.uint64(i) & np.uint64(1)) << np.uint64(k - 1 - i)
+                        for i in range(k))
+        if dualized:
+            cells ^= np.uint64(n - 1)
+        folds.append((t, np.full(256, none, dtype=np.uint64), cells, mirrored))
+    for u, v, w in emulation._closed_pairs(g, k, emulation._diagonal_map(g, k)):
+        for _, best, cells, mirrored in folds:
+            keys = cells[u.astype(np.int64)] << sk | cells[v.astype(np.int64)]
+            np.minimum.at(best, mirror_arr[w] if mirrored else w, keys)
+    return {(t, f): Encoding(Word(key >> k, k), Word(key & (n - 1), k))
+            for t, best, _, _ in folds for f, key in enumerate(best.tolist()) if key != none}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), k=st.integers(1, 11))
+def test_triangle_keys_are_the_least_oriented_pair_keys(data, k):
+    c = data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=2, max_size=40, unique=True))
+    up = min(c[i] << k | c[j] for i in range(len(c)) for j in range(i + 1, len(c)))
+    down = min(c[j] << k | c[i] for i in range(len(c)) for j in range(i + 1, len(c)))
+    assert emulation._triangle_keys(np.array(c, dtype=np.uint64), k) == (up, down)
+
+
+def test_one_block_triangle_closed_form_matches_the_direct_fold():
+    for g in ONE_BLOCK_ORBITS:
+        targets = _orbit(g)
+        for k in range(1, 11):
+            assert emulated_rule_map(R(g), k, targets) == rule_map_direct_fold(g, k, targets), (g, k)
+
+
+def test_one_block_rules_fold_only_their_image_pairs(monkeypatch):
+    # the fixed-point triangle is folded in closed form, so the map takes
+    # at most the 2^k image pairs from _closed_pairs, in both orientations
+    scanned = []
+    closed_pairs = emulation._closed_pairs
+
+    def counted(*args, **kwargs):
+        for chunk in closed_pairs(*args, **kwargs):
+            scanned.append(len(chunk[0]))
+            yield chunk
+
+    monkeypatch.setattr(emulation, "_closed_pairs", counted)
+    for g in (0, 15, 51, 85, 170, 204, 240, 255):
+        for k in range(1, 11):
+            scanned.clear()
+            emulated_rule_map(R(g), k)
+            assert sum(scanned) <= 2 << k, (g, k, sum(scanned))
+    # the listing still holds every oriented pair of two fixed points
+    for g in ONE_BLOCK_ORBITS:
+        for k in range(1, 7):
+            fixed = {u for u in range(1 << k) if supercell_step(R(g), k, *[Word(u, k)] * 3).bits == u}
+            listed = sum(e.enc0.bits in fixed and e.enc1.bits in fixed
+                         for _, e in emulated_rules(R(g), k))
+            assert listed == len(fixed) * (len(fixed) - 1), (g, k)
+    assert len(emulated_rules(R(204), 6)) == 64 * 63
+
+
 def test_orbit_fold_rejects_a_rule_outside_the_orbit():
     assert emulated_rule_map(R(30), 2, [30]) == {
         (30, f): enc for f, enc in emulated_rule_map(R(30), 2).items()}
@@ -826,15 +899,43 @@ def test_results_independent_of_partition_size(g, k, chunk):
 
 
 def test_rule_map_memory_stays_flat():
-    # the enumeration folds chunk by chunk; building the 523,776 pairs of
-    # the size-10 identity at once took ~94 MB
+    # the enumeration scans and folds chunk by chunk; building the 523,776
+    # pairs of the size-10 identity at once took ~94 MB.  The map of 204
+    # folds its triangle in closed form, so the scan behind the listing
+    # walks it here, and the map of 42 folds a triangle of 331,705 pairs
     tracemalloc.start()
     try:
-        assert sorted(emulated_rule_map(R(204), 10)) == [204]
+        diag = emulation._diagonal_map(204, 10)
+        assert sum(len(u) for u, _, _ in emulation._closed_pairs(204, 10, diag)) == 1023 * 1024
+        assert sorted(emulated_rule_map(R(42), 11)) == [0, 170, 255]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_diagonal_map_is_independent_of_the_chunk_size(chunk):
+    for g in (30, 45, 110, 204):
+        for k in (1, 5, 9):
+            e = np.arange(1 << k, dtype=np.uint64)
+            whole = _unravel_batch(g, emulation._pattern_words(0, e, e, k), 3 * k, k)
+            with mock.patch.object(emulation, "_CHUNK", chunk):
+                d = emulation._diagonal_map(g, k)
+            assert d.dtype == np.uint64 and np.array_equal(d, whole), (g, k)
+
+
+@needs_extended
+def test_diagonal_map_memory_at_the_kernel_limit_extended():
+    # the map itself is 8 MiB; one kernel call over all 2^20 words peaked
+    # at ~48 MiB
+    tracemalloc.start()
+    try:
+        emulation._diagonal_map(45, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 @needs_extended
