@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -260,6 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # numpy's bundled OpenBLAS starts a thread at import that spins ~0.1 s of
+    # CPU, and nothing here calls BLAS.  Set before numpy loads; a caller's
+    # own setting wins, and importing the package changes nothing.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

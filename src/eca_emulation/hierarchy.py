@@ -262,12 +262,21 @@ def compute_hierarchy(K: int, reps: list[int] | None = None, workers: int = 1,
     if tasks:
         if cache_dir is not None:
             os.makedirs(cache_dir, exist_ok=True)
+        # Load numpy before a pool forks, so the workers inherit it instead
+        # of each importing it on its first task.
+        import numpy
+
+        # Freeing an untouched 16 MiB block raises glibc's dynamic mmap
+        # threshold to 16 MiB and its trim threshold to 32 MiB (mallopt(3)),
+        # here and in every worker forked after it.  Without it glibc trims
+        # the heap top after nearly every kernel call and faults it back in
+        # on the next: 22,000-32,000 minor faults in a serial K = 10 sweep
+        # against ~1,100.  A larger block is above glibc's cap and changes
+        # nothing.
+        numpy.empty(1 << 21)
         workers = min(workers, len(tasks))  # a pool starts all its processes at once
         pool = None
         if workers > 1:
-            # Load numpy before the pool forks, so the workers inherit it
-            # instead of each importing it on its first task.
-            import numpy  # noqa: F401
             from concurrent.futures import ProcessPoolExecutor
             pool = ProcessPoolExecutor(max_workers=workers)
         empty = len(json.dumps({"cells": [], "schema": CACHE_SCHEMA}))

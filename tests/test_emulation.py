@@ -30,7 +30,7 @@ from eca_emulation import (
     verify_witness,
 )
 from eca_emulation import emulation
-from eca_emulation.rules import _unravel_batch
+from eca_emulation.rules import _DUAL, _MIRROR, _unravel_batch
 
 R = rule_from_wolfram
 
@@ -444,6 +444,30 @@ def test_one_block_rules_fold_only_their_image_pairs(monkeypatch):
                          for _, e in emulated_rules(R(g), k))
             assert listed == len(fixed) * (len(fixed) - 1), (g, k)
     assert len(emulated_rules(R(204), 6)) == 64 * 63
+
+
+def test_symmetry_tables_are_built_once_and_read_only():
+    dual_arr, mirror_arr = emulation._symmetry_tables()
+    assert emulation._symmetry_tables()[0] is dual_arr
+    assert dual_arr.tolist() == list(_DUAL) and mirror_arr.tolist() == list(_MIRROR)
+    # every later task shares them, so an in-place write must fail
+    for t in (dual_arr, mirror_arr):
+        assert not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[0] = 1
+
+
+def test_supercell_maps_reverse_and_complement_each_cell():
+    for k in range(1, 13):
+        full = (1 << k) - 1
+        rev = [int(f"{u:0{k}b}"[::-1], 2) for u in range(1 << k)]
+        for (mirrored, dualized), want in {(True, False): rev,
+                                           (False, True): [u ^ full for u in range(1 << k)],
+                                           (True, True): [r ^ full for r in rev]}.items():
+            cells = emulation._supercell_map(k, mirrored, dualized)
+            assert cells.tolist() == want, k
+            # a derived descriptor would send np.minimum.at down its slow path
+            assert cells.dtype is np.dtype(np.uint64)
 
 
 def test_orbit_fold_rejects_a_rule_outside_the_orbit():

@@ -1,9 +1,10 @@
-"""Which commands load numpy.
+"""Which commands load numpy, and with how many BLAS threads.
 
 Commands that build no array (`rule info`, `simulate`, a warm `hierarchy`
 export, `load_json` with its witness checks) start without numpy and
-without the process pool's module.  Each case runs in a fresh
-interpreter, since this one imported both long ago.
+without the process pool's module.  The CLI, not the package, sets
+numpy's BLAS to one thread unless the caller chose.  Each case runs in a
+fresh interpreter, since this one imported both long ago.
 """
 
 import hashlib
@@ -61,6 +62,18 @@ from eca_emulation import compute_hierarchy
 before = "numpy" in sys.modules
 compute_hierarchy(3, workers=2)
 print(json.dumps([before, Recorder.seen]))
+"""
+
+# Imports the package, runs `eca-emu rule info 110` through cli.main, and
+# writes OPENBLAS_NUM_THREADS as it was after each step to stderr as its
+# last line.
+_BLAS = """
+import json, os, sys
+import eca_emulation
+imported = os.environ.get("OPENBLAS_NUM_THREADS")
+from eca_emulation.cli import main
+main(["rule", "info", "110"])
+sys.stderr.write("\\n" + json.dumps([imported, os.environ.get("OPENBLAS_NUM_THREADS")]))
 """
 
 
@@ -127,6 +140,19 @@ def test_pool_forks_after_numpy_is_loaded():
     before, seen = json.loads(_python("-c", _FORK_ORDER).stdout)
     assert before is False
     assert seen == [True]
+
+
+@pytest.mark.parametrize("caller, after", [(None, "1"), ("4", "4")])
+def test_cli_runs_numpy_on_one_blas_thread(monkeypatch, caller, after):
+    # numpy's OpenBLAS starts a thread at import that spins ~0.1 s of CPU,
+    # and nothing calls BLAS; so the CLI defaults to one thread, a caller's
+    # setting wins, and importing the package sets nothing
+    if caller is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", caller)
+    out = _python("-c", _BLAS)
+    assert json.loads(out.stderr.decode().splitlines()[-1]) == [caller, after]
 
 
 def test_missing_numpy_exits_two():
