@@ -22,11 +22,12 @@ elements, i.e. whether g can emulate any automaton with more than one
 state, non-trivially, at this supercell size.
 
 Importing this module does not import numpy.  The functions that build
-arrays import it when they run: the enumeration, the closure search, the
-batched naive scan and its scalar table, and the encoding table behind
-``encode_config``, ``decode_config`` and ``verify_witness``.  The
-witness types, ``EmulationWitness.holds`` and the scalar kernel stay
-numpy-free, so reading a cache or checking witnesses starts without it.
+arrays get it from ``_numpy()``, which also keeps glibc's heap: the
+enumeration, the closure search, the batched naive scan and its scalar
+table, and the encoding table behind ``encode_config``,
+``decode_config`` and ``verify_witness``.  The witness types,
+``EmulationWitness.holds`` and the scalar kernel stay numpy-free, so
+reading a cache or checking witnesses starts without it.
 """
 
 from __future__ import annotations
@@ -53,6 +54,20 @@ from .words import _BITREV, Word
 
 if TYPE_CHECKING:
     import numpy as np
+
+
+@cache
+def _numpy():
+    """numpy, imported once.  Freeing an untouched 16 MiB block raises glibc's
+    mmap threshold to 16 MiB and its trim threshold to 32 MiB (mallopt(3)),
+    here and in every later fork, so glibc stops trimming the heap top after
+    each kernel call and faulting it back in on the next: 746 minor faults,
+    not 26,450, for proper_subalgebra_search(30, k), k = 2..14."""
+    import numpy
+
+    numpy.empty(1 << 21)  # a larger block is above glibc's cap
+    return numpy
+
 
 # Chunk size for the batched scans; results never depend on it.  At 2^14
 # uint64 words (128 KiB) the temporaries of one kernel step stay in a 2 MiB
@@ -191,10 +206,9 @@ def _gk_table_list(wolfram: int, k: int) -> list[int]:
     table holds 2^18 entries, 2 MiB, so the 16 cached tables stay under
     ~32 MiB.  It calls ``rules._unravel_batch`` directly, so a tracer
     that wraps this module's ``_unravel_batch`` sees only the scans."""
-    import numpy as np
-
     from . import rules
 
+    np = _numpy()
     inputs = np.arange(1 << (3 * k), dtype=np.uint64)
     return rules._unravel_batch(wolfram, inputs, 3 * k, k).tolist()
 
@@ -219,8 +233,7 @@ def _naive_scan_scalar(f: EcaRule, g: EcaRule, k: int) -> Encoding | None:
 
 
 def _naive_scan_batched(f: EcaRule, g: EcaRule, k: int) -> Encoding | None:
-    import numpy as np
-
+    np = _numpy()
     n = 1 << k
     fbits = f.table
     total = n * n
@@ -252,8 +265,7 @@ _MIXED_PATTERNS = (1, 2, 4, 3, 5, 6)
 def _diagonal_map(wolfram: int, k: int) -> np.ndarray:
     """d[u] = supercell_step(g, k, u, u, u) for every supercell u, written
     into one array in kernel calls of ``_CHUNK`` words."""
-    import numpy as np
-
+    np = _numpy()
     n = 1 << k
     d = np.empty(n, dtype=np.uint64)
     for lo in range(0, n, _CHUNK):
@@ -265,8 +277,7 @@ def _diagonal_map(wolfram: int, k: int) -> np.ndarray:
 def _pattern_words(p: int, u: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
     """Packed triples of selection pattern p (i = 4*s1 + 2*s2 + s3): cell
     block j holds v where pattern bit s_j is 1, u where it is 0."""
-    import numpy as np
-
+    np = _numpy()
     x, y, z = (v if (p >> s) & 1 else u for s in (2, 1, 0))
     return x | y << np.uint64(k) | z << np.uint64(2 * k)
 
@@ -292,8 +303,7 @@ def _pattern_classes(wolfram: int) -> tuple[np.uint16, np.uint16,
     ``_MIXED_PATTERNS`` order, (q, mask) with q the pattern to evaluate.
     Pattern p gives the product of q = p & ``_read_blocks(wolfram)``, or of
     pattern 7 when q is all of the read set."""
-    import numpy as np
-
+    np = _numpy()
     read = _read_blocks(wolfram)
     classes = {0: 1, 7: 1 << 7}
     for p in _MIXED_PATTERNS:
@@ -308,8 +318,7 @@ def _pattern_classes(wolfram: int) -> tuple[np.uint16, np.uint16,
 def _symmetry_tables() -> tuple[np.ndarray, np.ndarray]:
     """``_DUAL`` and ``_MIRROR`` as uint16 arrays, built once per process
     and read-only: every later task shares them, so a write must fail."""
-    import numpy as np
-
+    np = _numpy()
     tables = tuple(np.array(t, dtype=np.uint16) for t in (_DUAL, _MIRROR))
     for t in tables:
         t.flags.writeable = False
@@ -323,8 +332,7 @@ def _supercell_map(k: int, mirrored: bool, dualized: bool) -> np.ndarray:
     cells.  A big-endian view would spare the byteswap, but arrays derived
     from it keep a non-builtin descriptor that sends ``np.minimum.at`` down
     its slow path (folding (42, 11) onto its mirror: 152 ms, not 95)."""
-    import numpy as np
-
+    np = _numpy()
     cells = np.arange(1 << k, dtype=np.uint64)
     if mirrored:
         flipped = np.frombuffer(cells.tobytes().translate(_BITREV), dtype=np.uint64)
@@ -374,8 +382,7 @@ def _closed_pairs(wolfram: int, k: int, diag: np.ndarray, triangle: bool = True
     of the pair space is ever built.  Chunks in which no candidate survives
     are not yielded.
     """
-    import numpy as np
-
+    np = _numpy()
     n = 1 << k
     sk = np.uint64(k)
     to_u, to_v, evaluated = _pattern_classes(wolfram)
@@ -433,9 +440,8 @@ def emulated_rules(g: EcaRule, k: int) -> list[tuple[EcaRule, Encoding]]:
     refusal half of bounding its memory; listing straight from the arrays
     is the open half.  emulated_rule_map keeps one witness per rule.
     """
-    import numpy as np
-
     _check_k(k)
+    np = _numpy()
     chunks, listed = [], 0
     for chunk in _closed_pairs(g.wolfram, k, _diagonal_map(g.wolfram, k)):
         listed += len(chunk[0])
@@ -454,8 +460,7 @@ def emulated_rules(g: EcaRule, k: int) -> list[tuple[EcaRule, Encoding]]:
 def _triangle_keys(c: np.ndarray, k: int) -> tuple[np.uint64, np.uint64]:
     """The least c[i] << k | c[j] and the least c[j] << k | c[i] over all
     i < j, for at least two k-bit entries c: one running minimum each."""
-    import numpy as np
-
+    np = _numpy()
     sk = np.uint64(k)
     tail = np.minimum.accumulate(c[::-1])[::-1]  # tail[i] = min(c[i:])
     head = np.minimum.accumulate(c)  # head[j] = min(c[:j + 1])
@@ -489,9 +494,8 @@ def emulated_rule_map(g: EcaRule, k: int, targets=None) -> dict:
     scans only the image pairs; the direct fold walks all m(m - 1)
     oriented pairs, 4,192,256 for rule 204 at k = 11.
     """
-    import numpy as np
-
     _check_k(k)
+    np = _numpy()
     n = 1 << k
     none = np.iinfo(np.uint64).max
     sk = np.uint64(k)
@@ -576,8 +580,7 @@ def verify_witness(w: EmulationWitness, length: int, horizon: int,
 
 def _encoding_table(enc: Encoding) -> np.ndarray:
     """Row b holds the k bytes encoding the 8 cells of byte b, little-endian."""
-    import numpy as np
-
+    np = _numpy()
     k, e0 = enc.k, enc.enc0.bits
     flip = e0 ^ enc.enc1.bits
     table = sum(e0 << (k * i) for i in range(8))  # row 0 alone
@@ -593,8 +596,7 @@ def _encoding_table(enc: Encoding) -> np.ndarray:
 def _encode_bits(table: np.ndarray, bits: int, m: int) -> int:
     """Encode the m packed cells of ``bits`` through an _encoding_table:
     cell i becomes bits k*i..k*i+k-1, so byte j becomes bytes k*j..k*j+k-1."""
-    import numpy as np
-
+    np = _numpy()
     cells = np.frombuffer(bits.to_bytes((m + 7) // 8, "little"), np.uint8)
     encoded = int.from_bytes(table[cells].tobytes(), "little")
     return encoded & ((1 << table.shape[1] * m) - 1)
@@ -671,8 +673,7 @@ def _close(wolfram: int, k: int, seeds: list[int], cap: int,
     full algebra; absorbing one makes this closure full too, so it returns
     None at once; pass marks only with ``cap`` < 2^k.
     """
-    import numpy as np
-
+    np = _numpy()
     n = 1 << k
     marked = np.zeros(n, dtype=bool) if full_generators is None else full_generators
     member = np.zeros(n, dtype=bool)
@@ -722,8 +723,7 @@ def _triple_tiles(xs: np.ndarray, ys: np.ndarray, zs: np.ndarray,
     entry is at most nz + ny + nx - 3, and numpy refuses a view that
     would leave the extension.
     """
-    import numpy as np
-
+    np = _numpy()
     nx, ny, nz = len(xs), len(ys), len(zs)
     if not nx * ny * nz:
         return
@@ -788,9 +788,8 @@ def proper_subalgebra_search(g: EcaRule, k: int) -> Subalgebra | None:
     The children table holds 7 x 2^k int32 entries, 28 MiB at k = 20; the
     kernel writes it in blocks of ``_CHUNK`` words.
     """
-    import numpy as np
-
     _check_k(k)
+    np = _numpy()
     n = 1 << k
     if n == 2:
         return None

@@ -34,7 +34,8 @@ import tempfile
 from dataclasses import dataclass
 from itertools import chain, pairwise
 
-from .emulation import Encoding, EmulationWitness, emulated_rule_map, proper_subalgebra_search
+from .emulation import (Encoding, EmulationWitness, _numpy, emulated_rule_map,
+                        proper_subalgebra_search)
 from .rules import _DUAL, MAX_K, _check_k, _conjugates, rule_from_wolfram
 from .words import Word
 
@@ -240,8 +241,9 @@ def compute_hierarchy(K: int, reps: list[int] | None = None, workers: int = 1,
     orbit's cells arrive, before a cell would take its text past
     _MAX_JSON_BYTES, and when the sweep ends or fails: an interrupted sweep
     keeps every cell it finished, and a killed one loses at most one
-    orbit's.  An empty ``cache_dir`` raises ValueError before any segment
-    is read.
+    orbit's.  An error cancels the tasks still queued, so it surfaces
+    without waiting for them.  An empty ``cache_dir`` raises ValueError
+    before any segment is read.
     """
     _check_k(K)  # the largest size, before any cell is computed or stored
     if workers < 1:
@@ -262,18 +264,7 @@ def compute_hierarchy(K: int, reps: list[int] | None = None, workers: int = 1,
     if tasks:
         if cache_dir is not None:
             os.makedirs(cache_dir, exist_ok=True)
-        # Load numpy before a pool forks, so the workers inherit it instead
-        # of each importing it on its first task.
-        import numpy
-
-        # Freeing an untouched 16 MiB block raises glibc's dynamic mmap
-        # threshold to 16 MiB and its trim threshold to 32 MiB (mallopt(3)),
-        # here and in every worker forked after it.  Without it glibc trims
-        # the heap top after nearly every kernel call and faults it back in
-        # on the next: 22,000-32,000 minor faults in a serial K = 10 sweep
-        # against ~1,100.  A larger block is above glibc's cap and changes
-        # nothing.
-        numpy.empty(1 << 21)
+        _numpy()  # before a pool forks, so the workers inherit numpy and the kept heap
         workers = min(workers, len(tasks))  # a pool starts all its processes at once
         pool = None
         if workers > 1:
@@ -303,7 +294,7 @@ def compute_hierarchy(K: int, reps: list[int] | None = None, workers: int = 1,
                     _store_shard(cache_dir, segment)
             finally:
                 if pool is not None:
-                    pool.shutdown()
+                    pool.shutdown(cancel_futures=True)  # an error drops the queued tasks
 
     # A closed pair reports both orientations, so every cell is closed under
     # duality and holds each emulated rule's representative.  Sources

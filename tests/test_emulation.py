@@ -927,6 +927,7 @@ def test_rule_map_memory_stays_flat():
     # pairs of the size-10 identity at once took ~94 MB.  The map of 204
     # folds its triangle in closed form, so the scan behind the listing
     # walks it here, and the map of 42 folds a triangle of 331,705 pairs
+    emulation._numpy()  # its freed 16 MiB block would read as the peak
     tracemalloc.start()
     try:
         diag = emulation._diagonal_map(204, 10)
@@ -953,6 +954,7 @@ def test_diagonal_map_is_independent_of_the_chunk_size(chunk):
 def test_diagonal_map_memory_at_the_kernel_limit_extended():
     # the map itself is 8 MiB; one kernel call over all 2^20 words peaked
     # at ~48 MiB
+    emulation._numpy()  # its freed 16 MiB block would read as the peak
     tracemalloc.start()
     try:
         emulation._diagonal_map(45, 20)
@@ -967,6 +969,7 @@ def test_search_memory_at_the_kernel_limit_extended():
     # the children table of 7 x 2^20 int32 entries is 28 MiB, and the gate
     # leaves room for the diagonal map and the first closure; int64 rows
     # filled from one batch of all six patterns peaked at ~226 MiB
+    emulation._numpy()  # its freed 16 MiB block would read as the peak
     tracemalloc.start()
     try:
         assert proper_subalgebra_search(R(45), 20) is None

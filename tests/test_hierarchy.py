@@ -1,6 +1,8 @@
 import concurrent.futures
+import functools
 import hashlib
 import json
+import multiprocessing
 import os
 import platform
 import subprocess
@@ -197,7 +199,7 @@ class _RecordingPool:
     def map(self, fn, tasks, chunksize=1):
         return map(fn, tasks)
 
-    def shutdown(self):
+    def shutdown(self, cancel_futures=False):
         pass
 
 
@@ -220,26 +222,41 @@ def _child_env() -> dict:
         filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-# A serial K = 10 sweep in an interpreter that has loaded numpy, printing
-# the minor page faults the sweep took.
-_SWEEP_FAULTS = """
-import resource
+# In an interpreter that has loaded numpy, a job run twice, printing the
+# minor page faults each run took: a serial K = 10 sweep, and the chaos
+# search of rule 30 at sizes 2..14.
+_FAULTS = """
+import json, resource
 import numpy
-from eca_emulation import compute_hierarchy
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-compute_hierarchy(10)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+from eca_emulation import compute_hierarchy, proper_subalgebra_search, rule_from_wolfram
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    {}
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
 """
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc thresholds")
-def test_sweep_keeps_its_heap():
-    # Without the 16 MiB block freed before the first task, glibc trims the
-    # heap top after nearly every kernel call and faults it back in on the
-    # next: 22,000-32,000 faults, against ~1,100 with it.
-    out = subprocess.run([sys.executable, "-c", _SWEEP_FAULTS], capture_output=True,
+@pytest.mark.parametrize("job", [
+    "compute_hierarchy(10)",
+    "[proper_subalgebra_search(rule_from_wolfram(30), k) for k in range(2, 15)]",
+], ids=["sweep", "chaos"])
+def test_sweep_keeps_its_heap(job):
+    # Without the 16 MiB block freed before the first array is built, glibc
+    # trims the heap top after nearly every kernel call and faults it back
+    # in on the next.  A first run grows the heap: the sweep took
+    # 22,000-32,000 faults without the block and ~1,100 with it.  How much
+    # a first chaos search refaults depends on where the interpreter's own
+    # allocations left the heap top (~2,000 or ~27,000 faults without the
+    # block, by the length of the script's path), so its second run, which
+    # only reuses the heap, is the gate: 540-1,900 faults without, <= 10
+    # with it (the sweep: ~90).
+    out = subprocess.run([sys.executable, "-c", _FAULTS.format(job)], capture_output=True,
                          env=_child_env(), timeout=300, check=True)
-    assert int(out.stdout) < 5000
+    first, second = json.loads(out.stdout)
+    assert first < 5000 and second < 300
 
 
 _real_compute_orbit = hierarchy._compute_orbit
@@ -504,6 +521,31 @@ def test_interrupted_parallel_sweep_keeps_finished_shards(tmp_path, monkeypatch)
     # the cells of orbit 2 that had finished when the sweep failed
     assert sorted(len(_load_shard(str(p))) for p in _segments(cache)) == [3, 3, 4]
     assert list(cache.glob("*.tmp")) == []
+
+
+def _marking_orbit(marks, args):
+    # module level, so that worker processes can unpickle it
+    h, k, _ = args
+    Path(marks, f"{h}-{k}").touch()
+    return _real_compute_orbit(args)
+
+
+def _failing_store(cache_dir, cells):
+    raise OSError("segment write failed")
+
+
+def test_failing_parallel_sweep_stops_at_once(tmp_path, monkeypatch):
+    # The first segment write fails when the second orbit's cells arrive.
+    # The error cancels the tasks still queued, and about 30 of the 528
+    # run; a shutdown that waits for the queue runs all of them first.
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    monkeypatch.setattr(hierarchy, "_compute_orbit", functools.partial(_marking_orbit, str(marks)))
+    monkeypatch.setattr(hierarchy, "_store_shard", _failing_store)
+    with pytest.raises(OSError, match="segment write failed"):
+        compute_hierarchy(6, workers=2, cache_dir=str(tmp_path / "cache"))
+    assert len(list(marks.iterdir())) < 88 * 6 // 2
+    assert multiprocessing.active_children() == []
 
 
 def test_orbit_tasks_cover_every_representative_once():

@@ -54,7 +54,7 @@ class Recorder:
     def map(self, fn, tasks, chunksize=1):
         return map(fn, tasks)
 
-    def shutdown(self):
+    def shutdown(self, cancel_futures=False):
         pass
 
 concurrent.futures.ProcessPoolExecutor = Recorder
