@@ -342,6 +342,21 @@ def _supercell_map(k: int, mirrored: bool, dualized: bool) -> np.ndarray:
     return cells
 
 
+def _triangle_starts(m: int) -> np.ndarray:
+    """starts[i], the index of the pair (i, i + 1) when the pairs i < j < m
+    are numbered in ascending order; starts[m - 1] is their count."""
+    np = _numpy()
+    rows = np.arange(m, dtype=np.int64)
+    return rows * (m - 1) - rows * (rows - 1) // 2
+
+
+def _triangle_pairs(starts: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j) with the indices t, by ``_triangle_starts``."""
+    np = _numpy()
+    i = np.searchsorted(starts, t, side="right") - 1
+    return i, i + 1 + t - starts[i]
+
+
 def _closed_pairs(wolfram: int, k: int, diag: np.ndarray, triangle: bool = True
                   ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The pairs {u, v} (u < v) closed under the supercell operation, in
@@ -364,10 +379,17 @@ def _closed_pairs(wolfram: int, k: int, diag: np.ndarray, triangle: bool = True
     the pair space: a closed pair either consists of two diagonal fixed
     points, or pairs an element with its diagonal image.  The fixed-point
     pairs form a triangle (row i pairs fix[i] with fix[i+1:]) that is
-    generated in key order by index arithmetic; the at most 2^k image pairs
-    are deduplicated once and merged into the chunk their keys fall in.  An
-    image pair holds a moved element, so no pair comes from both sources.
-    Every candidate therefore maps u and v into {u, v} on the diagonal.
+    generated in key order by index arithmetic (``_triangle_starts``); the
+    at most 2^k image pairs are sorted once and merged into the chunk their
+    keys fall in.  An image pair holds a moved element, so no pair comes
+    from both sources.  Every candidate therefore maps u and v into {u, v}
+    on the diagonal.
+
+    An image pair {a, b = d(a)} with a moved and d(b) in {a, b} comes up
+    twice, from a and from b, exactly when d(b) = a; it is kept from a when
+    d(b) = b or a < b, so the keys are distinct without ``np.unique``,
+    whose first call imports ``numpy.ma`` (numpy 2.4: 13-16 ms of CPU in
+    every process that enumerates, on a 2-core VM).
 
     Each chunk of at most ``_CHUNK`` candidates then runs through the mixed
     patterns, which record their "hit v" bits as they filter.  Patterns
@@ -392,18 +414,16 @@ def _closed_pairs(wolfram: int, k: int, diag: np.ndarray, triangle: bool = True
     fix = elems[~moved]
     a, b = elems[moved], diag[moved]
     db = diag[b.astype(np.int64)]
-    ok = (db == a) | (db == b)
-    a, b = a[ok], b[ok]
-    images = np.unique(np.minimum(a, b) << sk | np.maximum(a, b))
+    keep = (db == b) | (db == a) & (a < b)
+    a, b = a[keep], b[keep]
+    images = np.sort(np.minimum(a, b) << sk | np.maximum(a, b))
     m = len(fix)
-    rows = np.arange(max(m - 1, 0), dtype=np.int64)
-    starts = rows * (m - 1) - rows * (rows - 1) // 2  # triangle index of (i, i + 1)
+    starts = _triangle_starts(m)
     total = m * (m - 1) // 2 if triangle else 0
     lo = taken = 0
     while lo < total or taken < len(images):
-        t = np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64)
-        i = np.searchsorted(starts, t, side="right") - 1
-        tri = fix[i] << sk | fix[i + 1 + t - starts[i]]
+        i, j = _triangle_pairs(starts, np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64))
+        tri = fix[i] << sk | fix[j]
         # The first _CHUNK keys of the merge lie in these two prefixes.
         keys = np.sort(np.concatenate([tri, images[taken:taken + _CHUNK]]),
                        kind="stable")[:_CHUNK]
@@ -768,10 +788,35 @@ def proper_subalgebra_search(g: EcaRule, k: int) -> Subalgebra | None:
     the singleton closures of u and v to stay inside S, so once the
     singleton sweep found nothing, only pairs of fixed points remain
     possible seeds.  No answer for any rule at k = 2..10 comes from those
-    pairs, but without them the search would not be exhaustive.  On a
-    2-core VM they cost the chaotic rules little (30 and 45 close 107 and
-    161 pairs over k = 2..11 in ~5 and ~9 ms) and a rule with many fixed
-    points much: at k = 7 rule 150 closes all 8,128 pairs of its 128 (4-9 s).
+    pairs, but without them the search would not be exhaustive.
+
+    The pair phase closes few pairs.  Once the sweep is done, the marked
+    elements are exactly the moved ones, so a pair of fixed points with a
+    moved mixed product generates everything (fact 1).  closure({u, v})
+    holds the six mixed products c1..c6 of (u, v), so if any pair drawn
+    from {u, v, c1..c6} generates everything, (u, v) does too (fact 2).
+    The m(m - 1)/2 pairs of the m fixed points, numbered in ascending
+    order by the triangle arithmetic of ``_closed_pairs``, are taken in
+    segments of m - 1 pairs more than all segments before (the first is
+    the first row).  In a segment, (1) the mixed products of every pair
+    (those ``_pattern_classes`` tells apart) are evaluated in kernel calls
+    of about ``_CHUNK`` words, and each pair with a moved product is
+    marked; (2) the marks spread through each pair's 28 sub-pairs until a
+    pass marks nothing (``_mark_full_pairs`` does (1) and (2) in the same
+    passes); (3) the unmarked pairs are closed in ascending order.  A
+    proper closure is the answer, the same pair and set as when every pair
+    is closed; a full one marks its pair, and the marks spread again.  The
+    marks reach one fixpoint per segment whatever the blocks, so the pairs
+    closed do not depend on ``_CHUNK``, and an answer at pair t costs the
+    products of at most 2t + m pairs a pass, not of the whole triangle.
+    On a 2-core VM rule 150 at k = 7, whose 128 supercells are all fixed,
+    closes 1 of its 8,128 pairs (~3.1 s to ~15 ms); 30 and 45 close none
+    at k = 2..11, where they closed 268; and 150 at k = 14 answers at its
+    first pair after one segment of 16,383 pairs (~0.1 s), where a pass
+    over all 134,209,536 takes ~74 s.  Only the marks, one byte per pair,
+    and a 2^k-entry index of the fixed points outlive a block: 128 MiB at
+    m = 16,384, the largest triangle any accepted size can give (105 and
+    150 reach it at k = 14; 60 and 90 have it at k = 15).
 
     The sweep closes few singletons.  With d the diagonal map, the
     children of u are d(u) and the six mixed products of the pair (u, d(u));
@@ -820,11 +865,74 @@ def proper_subalgebra_search(g: EcaRule, k: int) -> Subalgebra | None:
             if not grew.any():
                 break
             blows_up |= grew
-    for u, v in combinations(np.flatnonzero(~moved).tolist(), 2):
-        elems = _close(g.wolfram, k, [u, v], n - 1, blows_up)
-        if elems is not None:
-            return _as_subalgebra(g, k, elems)
+    elems = _fixed_pair_search(g.wolfram, k, np.flatnonzero(~moved), blows_up)
+    return None if elems is None else _as_subalgebra(g, k, elems)
+
+
+def _fixed_pair_search(wolfram: int, k: int, fix: np.ndarray,
+                       blows_up: np.ndarray) -> list[int] | None:
+    """Steps 1-3 of proper_subalgebra_search, segment by segment: the first
+    proper closure of a pair of the ascending fixed points ``fix``, or
+    None; ``blows_up`` marks exactly the moved elements."""
+    np = _numpy()
+    starts = _triangle_starts(len(fix))
+    full = np.zeros(len(fix) * (len(fix) - 1) // 2, dtype=bool)
+    lo = 0  # every pair before lo is marked
+    while lo < len(full):
+        hi = min(len(full), 2 * lo + len(fix) - 1)
+        _mark_full_pairs(wolfram, k, fix, full, lo, hi)
+        t = lo
+        while t < hi:
+            t += int(full[t:hi].argmin())  # the next unmarked pair, if any
+            if full[t]:
+                break
+            i, j = _triangle_pairs(starts, t)
+            elems = _close(wolfram, k, [int(fix[i]), int(fix[j])], (1 << k) - 1, blows_up)
+            if elems is not None:
+                return elems
+            full[t] = True
+            _mark_full_pairs(wolfram, k, fix, full, t + 1, hi)
+        lo = hi
     return None
+
+
+def _mark_full_pairs(wolfram: int, k: int, fix: np.ndarray, full: np.ndarray,
+                     start: int, stop: int) -> None:
+    """Steps 1-2 of proper_subalgebra_search on the pairs start..stop - 1:
+    mark in ``full`` each pair with a moved product or a marked sub-pair,
+    in passes over the unmarked pairs, block by block, until a pass marks
+    nothing.  A block takes one kernel call of about ``_CHUNK`` words."""
+    evaluated = _pattern_classes(wolfram)[2]
+    if not evaluated:
+        return  # every product is u or v: nothing shows a pair full
+    np = _numpy()
+    index = np.full(1 << k, -1, dtype=np.int64)  # a fixed point's place in fix
+    index[fix] = np.arange(len(fix))
+    starts = _triangle_starts(len(fix))
+    cells = fix.astype(np.uint64)
+    step = max(1, _CHUNK // len(evaluated))
+    grew = True
+    while grew:
+        grew = False
+        for lo in range(start, stop, step):
+            t = lo + np.flatnonzero(~full[lo:min(lo + step, stop)])
+            if not len(t):
+                continue
+            i, j = _triangle_pairs(starts, t)
+            words = np.concatenate([_pattern_words(q, cells[i], cells[j], k) for q, _ in evaluated])
+            kids = index[_unravel_batch(wolfram, words, 3 * k, k).astype(np.int64)]
+            kids = kids.reshape(len(evaluated), len(t))
+            hit = (kids < 0).any(axis=0)  # a moved product
+            cols = [c[~hit] for c in (i, j, *kids)]
+            # x = y gives an index in [-1, len(full)) that the mask drops
+            sub = np.zeros(len(cols[0]), dtype=bool)
+            for a, b in combinations(cols, 2):
+                x, y = np.minimum(a, b), np.maximum(a, b)
+                sub |= (x < y) & full[starts[x] + y - x - 1]
+            hit[~hit] = sub
+            if hit.any():
+                full[t[hit]] = True
+                grew = True
 
 
 def is_self_similar(f: EcaRule, kmax: int) -> int | None:

@@ -1,6 +1,7 @@
 import os
 import random
 import tracemalloc
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -842,16 +843,105 @@ def search_per_element(g, k):
     return None
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_search_matches_per_element_sweep(k):
     for n in range(256):
         assert proper_subalgebra_search(R(n), k) == search_per_element(R(n), k), n
 
 
 @pytest.mark.parametrize("k", [6, 7])
-@pytest.mark.parametrize("n", [30, 45, 86, 89, 110])
+@pytest.mark.parametrize("n", [30, 45, 86, 89, 110, 37, 60, 90])
 def test_search_matches_per_element_sweep_larger(n, k):
+    # 37, 60 and 90 reach the pair phase at k = 7 with 14, 64 and 64 fixed
+    # points, and the batch marks every pair where the reference closes it
     assert proper_subalgebra_search(R(n), k) == search_per_element(R(n), k)
+
+
+@needs_extended
+def test_search_matches_per_element_sweep_all_fixed_extended():
+    # all 128 supercells of rule 150 are fixed at k = 7; the reference
+    # closes its 8,128 pairs, the batched phase one
+    assert proper_subalgebra_search(R(150), 7) == search_per_element(R(150), 7)
+
+
+@pytest.fixture(scope="module")
+def pair_phase_cases():
+    """The arguments of every pair phase the search runs at k = 2..7, any
+    rule, with the pair scan silenced: rules whose closed pairs are pairs
+    of fixed points then reach the phase too, and some answer there."""
+    cases = []
+    for k in range(2, 8):
+        for n in range(256):
+            with mock.patch.object(emulation, "_closed_pairs", return_value=iter(())), \
+                    mock.patch.object(emulation, "_fixed_pair_search",
+                                      wraps=emulation._fixed_pair_search) as phase:
+                proper_subalgebra_search(R(n), k)
+            cases.extend(c.args for c in phase.call_args_list)
+    assert {(c[0], c[1]) for c in cases} >= {(30, 7), (37, 7), (60, 7), (150, 7)}
+    return cases
+
+
+def test_pair_phase_marks_only_full_pairs(pair_phase_cases):
+    # a pair is marked only when the singleton sweep's marks (the moved
+    # elements) or another marked pair show that it generates everything,
+    # and the phase answers with the first proper closure of a pair
+    marked_beside_proper = 0
+    for wolfram, k, fix, blows_up in pair_phase_cases:
+        if k > 6:
+            continue
+        n = 1 << k
+        assert np.array_equal(blows_up, emulation._diagonal_map(wolfram, k)
+                              != np.arange(n, dtype=np.uint64))
+        closures = [emulation._close(wolfram, k, [u, v], n - 1)
+                    for u, v in combinations(fix.tolist(), 2)]
+        full = np.zeros(len(closures), dtype=bool)
+        emulation._mark_full_pairs(wolfram, k, fix, full, 0, len(full))
+        assert all(closures[t] is None for t in np.flatnonzero(full)), (wolfram, k)
+        first = next((c for c in closures if c is not None), None)
+        assert emulation._fixed_pair_search(wolfram, k, fix, blows_up) == first, (wolfram, k)
+        if first is not None:
+            marked_beside_proper += int(full.sum())
+    assert marked_beside_proper > 0
+
+
+def test_pair_phase_spreads_the_marks_of_a_full_closure():
+    # all 128 supercells of rule 150 are fixed at k = 7, so nothing is
+    # moved; the marks that spread from the full closure of its first pair
+    # cover the other 8,127
+    with mock.patch.object(emulation, "_close", wraps=emulation._close) as close:
+        assert proper_subalgebra_search(R(150), 7) is None
+    assert [c.args[2] for c in close.call_args_list] == [[0, 1]]
+
+
+@pytest.mark.parametrize("chunk, kmax", [(1, 6), (7, 6), (64, 7)])
+def test_pair_phase_is_independent_of_the_chunk_size(pair_phase_cases, chunk, kmax):
+    # the marks of a segment reach one fixpoint whatever the blocks, so the
+    # same pairs are closed in the same order.  The closures keep the
+    # default chunk, as their tiles of one word would take minutes.  A
+    # block holds _CHUNK // 6 pairs or more, at least one, and blocks of
+    # one pair stop at k = 6: at k = 7 they take ~3 s
+    default, close = emulation._CHUNK, emulation._close
+    cases = [c for c in pair_phase_cases if c[1] <= kmax]
+
+    def run(chunk_size):
+        """Per case, the answer and the seeds of every closure, in order."""
+        runs = []
+
+        def recorded_close(wolfram, k, seeds, cap, marks):
+            runs[-1][1].append(seeds)
+            with mock.patch.object(emulation, "_CHUNK", default):
+                return close(wolfram, k, seeds, cap, marks)
+
+        with mock.patch.object(emulation, "_CHUNK", chunk_size), \
+                mock.patch.object(emulation, "_close", recorded_close):
+            for case in cases:
+                runs.append((case[:2], []))
+                runs[-1] += (emulation._fixed_pair_search(*case),)
+        return runs
+
+    expected = run(default)
+    assert any(closed for _, closed, _ in expected)
+    assert run(chunk) == expected
 
 
 def singletons_closed_by_reference_sweep(g, k):

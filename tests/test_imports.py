@@ -2,9 +2,10 @@
 
 Commands that build no array (`rule info`, `simulate`, a warm `hierarchy`
 export, `load_json` with its witness checks) start without numpy and
-without the process pool's module.  The CLI, not the package, sets
-numpy's BLAS to one thread unless the caller chose.  Each case runs in a
-fresh interpreter, since this one imported both long ago.
+without the process pool's module, and the commands that enumerate pairs
+load numpy without numpy.ma.  The CLI, not the package, sets numpy's BLAS
+to one thread unless the caller chose.  Each case runs in a fresh
+interpreter, since this one imported both long ago.
 """
 
 import hashlib
@@ -132,6 +133,16 @@ def test_cold_hierarchy_loads_numpy():
     # the probe can see numpy: a sweep that computes does load it
     _, loaded = _probe("hierarchy", "--kmax", "3")
     assert loaded == ["numpy"]
+
+
+def test_pair_enumeration_skips_numpy_ma():
+    # numpy 2.4's np.unique imports numpy.ma on its first call, ~18 ms of
+    # every process that enumerated pairs, pool workers included
+    out = _python("-c", "import sys; from eca_emulation import compute_hierarchy, "
+                        "emulated_rules, proper_subalgebra_search, rule_from_wolfram as R; "
+                        "compute_hierarchy(6); proper_subalgebra_search(R(30), 8); "
+                        "emulated_rules(R(110), 5); print('numpy.ma' in sys.modules)")
+    assert out.stdout == b"False\n"
 
 
 def test_pool_forks_after_numpy_is_loaded():
