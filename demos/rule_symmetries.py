@@ -10,10 +10,10 @@ computed per class representative.
 
 from eca_emulation import (
     dual,
-    dual_classes,
     is_affine,
     is_linear,
     mirror,
+    rep_of,
     rule_from_wolfram,
 )
 
@@ -32,9 +32,11 @@ affine = [n for n in range(256) if is_affine(rule_from_wolfram(n))]
 print("\nstrictly linear rules:", linear)
 print("affine-only additions:", sorted(set(affine) - set(linear)))
 
-classes = dual_classes()
+# a class is {r, dual(r)}, represented by its smaller rule
+classes = {r: tuple(sorted({r, dual(rule_from_wolfram(r)).wolfram}))
+           for r in sorted({rep_of(n) for n in range(256)})}
 print(f"\n{len(classes)} duality classes; the first ten:")
-for c in classes[:10]:
-    print(f"  rep {c.representative:3d}  members {c.members}")
-selfdual = sum(1 for c in classes if len(c.members) == 1)
+for r, members in list(classes.items())[:10]:
+    print(f"  rep {r:3d}  members {members}")
+selfdual = sum(1 for members in classes.values() if len(members) == 1)
 print(f"{selfdual} rules are self-dual")

@@ -11,23 +11,19 @@ from .emulation import (
     EmulationWitness,
     Subalgebra,
     check_emulation_naive,
-    closure,
     compose_witnesses,
     decode_config,
     emulated_rule_map,
     emulated_rules,
     encode_config,
-    is_self_similar,
     proper_subalgebra_search,
     verify_witness,
 )
 from .hierarchy import (
     ClassificationReport,
-    DualityClass,
     HierarchyGraph,
     classify,
     compute_hierarchy,
-    dual_classes,
     export,
     load_json,
     rep_of,
@@ -51,7 +47,6 @@ from .words import Word
 __all__ = [
     "ClassificationReport",
     "Diagram",
-    "DualityClass",
     "EcaRule",
     "EmulationWitness",
     "Encoding",
@@ -60,12 +55,10 @@ __all__ = [
     "Word",
     "check_emulation_naive",
     "classify",
-    "closure",
     "compose_witnesses",
     "compute_hierarchy",
     "decode_config",
     "dual",
-    "dual_classes",
     "emulated_rule_map",
     "emulated_rules",
     "encode_config",
@@ -73,7 +66,6 @@ __all__ = [
     "global_step",
     "is_affine",
     "is_linear",
-    "is_self_similar",
     "load_json",
     "mirror",
     "proper_subalgebra_search",

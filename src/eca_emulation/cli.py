@@ -23,7 +23,8 @@ from .emulation import (
     proper_subalgebra_search,
     verify_witness,
 )
-from .hierarchy import _read_json, classify, compute_hierarchy, export, transitive_reduction
+from .hierarchy import (_MAX_WORKERS, _read_json, classify, compute_hierarchy, export,
+                        transitive_reduction)
 from .render import render_diagram, write_pbm
 from .rules import MAX_K, dual, is_affine, is_linear, mirror, rule_from_wolfram
 from .words import Word
@@ -32,13 +33,13 @@ from .words import Word
 # holds() and verify_witness cost ~k^2 (14 s at k = 4,000 on a 2-core VM).
 _MAX_WITNESS_K = MAX_K ** 2
 
-# Upper bounds on the options that size memory or processes.  A diagram of
+# Upper bounds on the options that size memory (--workers takes its bound,
+# _MAX_WORKERS, from hierarchy, which checks it too).  A diagram of
 # 2^24 cells is 32 MiB of P1 text, and each of its rows costs ~60 bytes of
 # objects besides its cells, so the rows are bounded too: 2^16 rows peaked
 # at 106 MB of RSS (256 cells, P1), 51 MB (256 cells, P4) and 39 MB (3
 # cells).  A verify sample of 100,000 cells is 5 MB per copy of its
 # encoding at the verify limit k = 400.
-_MAX_WORKERS = 64
 _MAX_DIAGRAM_CELLS = 1 << 24
 _MAX_STEPS = (1 << 16) - 1
 _MAX_VERIFY_LENGTH = 100_000

@@ -15,11 +15,11 @@ read as little-endian integers, enc0 ascending then enc1 ascending - so
 results are deterministic and the two procedures can cross-check each
 other on small instances.
 
-``closure`` gives the subalgebra that a set of supercells generates, and
-``proper_subalgebra_search`` answers the stronger question of whether the
-supercell algebra contains *any* proper subalgebra with at least two
-elements, i.e. whether g can emulate any automaton with more than one
-state, non-trivially, at this supercell size.
+``proper_subalgebra_search`` asks whether the supercell algebra contains
+*any* proper subalgebra with at least two elements, i.e. whether g can
+emulate any automaton with more than one state, non-trivially, at this
+supercell size; ``_close`` gives the subalgebra that a set of supercells
+generates, capped in size.
 
 Importing this module does not import numpy.  The functions that build
 arrays get it from ``_numpy()``, which also keeps glibc's heap: the
@@ -33,7 +33,7 @@ reading a cache or checking witnesses starts without it.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import combinations
@@ -668,16 +668,6 @@ class Subalgebra:
             if len(w) != self.k:
                 raise ValueError(f"supercell has {len(w)} cells, expected {self.k}")
 
-    @property
-    def is_proper(self) -> bool:
-        return len(self.elements) < 1 << self.k
-
-    def is_closed(self) -> bool:
-        """Re-check the closure property: closing the elements under a cap of
-        their own count adds nothing (the full algebra passes unchanged)."""
-        elems = sorted(w.bits for w in self.elements)
-        return _close(self.rule.wolfram, self.k, elems, len(elems)) is not None
-
 
 def _close(wolfram: int, k: int, seeds: list[int], cap: int,
            full_generators: np.ndarray | None = None) -> list[int] | None:
@@ -762,17 +752,6 @@ def _triple_tiles(xs: np.ndarray, ys: np.ndarray, zs: np.ndarray,
 
 def _as_subalgebra(g: EcaRule, k: int, elems: list[int]) -> Subalgebra:
     return Subalgebra(g, k, frozenset(Word(e, k) for e in elems))
-
-
-def closure(g: EcaRule, k: int, seeds: Iterable[Word]) -> Subalgebra:
-    """Smallest subalgebra containing the k-cell supercells ``seeds``; the
-    whole algebra too, with ``is_proper`` telling which."""
-    _check_k(k)
-    seeds = list(seeds)
-    for w in seeds:
-        if len(w) != k:
-            raise ValueError(f"supercell has {len(w)} cells, expected {k}")
-    return _as_subalgebra(g, k, _close(g.wolfram, k, [w.bits for w in seeds], 1 << k))
 
 
 def proper_subalgebra_search(g: EcaRule, k: int) -> Subalgebra | None:
@@ -933,14 +912,3 @@ def _mark_full_pairs(wolfram: int, k: int, fix: np.ndarray, full: np.ndarray,
             if hit.any():
                 full[t[hit]] = True
                 grew = True
-
-
-def is_self_similar(f: EcaRule, kmax: int) -> int | None:
-    """Smallest k in 2..kmax with f <=_k f, or None if there is none."""
-    if kmax < 2:
-        raise ValueError(f"kmax {kmax} < 2")
-    _check_k(kmax)
-    for k in range(2, kmax + 1):
-        if f.wolfram in emulated_rule_map(f, k):
-            return k
-    return None

@@ -51,6 +51,9 @@ CACHE_SCHEMA = 2
 # 416 MB of RSS).
 _MAX_JSON_BYTES = 1 << 16
 
+# Most worker processes a sweep starts: a pool starts all of them at once.
+_MAX_WORKERS = 64
+
 # Rules whose emulation counts as the capability of perfect memory: the
 # identity, the two one-cell shifts, and the negation.  All four are
 # self-dual, so they are their own class representatives.
@@ -65,20 +68,6 @@ def rep_of(n: int) -> int:
 
 
 REPS = tuple(sorted({rep_of(n) for n in range(256)}))
-
-
-@dataclass(frozen=True)
-class DualityClass:
-    representative: int
-    members: tuple[int, ...]
-
-
-def dual_classes() -> list[DualityClass]:
-    """All duality classes {n, dual(n)}, sorted by representative."""
-    return [
-        DualityClass(r, tuple(sorted({r, _DUAL[r]})))
-        for r in REPS
-    ]
 
 
 @dataclass(frozen=True)
@@ -123,12 +112,6 @@ class HierarchyGraph:
             if e.emulator.wolfram == emulator and e.emulated.wolfram == emulated:
                 return e
         return None
-
-    def edges_from(self, emulator: int) -> list[EmulationWitness]:
-        return [e for e in self.edges if e.emulator.wolfram == emulator]
-
-    def edges_to(self, emulated: int) -> list[EmulationWitness]:
-        return [e for e in self.edges if e.emulated.wolfram == emulated]
 
 
 def _orbit_min(g: int) -> int:
@@ -242,12 +225,12 @@ def compute_hierarchy(K: int, reps: list[int] | None = None, workers: int = 1,
     _MAX_JSON_BYTES, and when the sweep ends or fails: an interrupted sweep
     keeps every cell it finished, and a killed one loses at most one
     orbit's.  An error cancels the tasks still queued, so it surfaces
-    without waiting for them.  An empty ``cache_dir`` raises ValueError
-    before any segment is read.
+    without waiting for them.  An empty ``cache_dir``, or ``workers`` past
+    1.._MAX_WORKERS, raises ValueError before any segment is read.
     """
     _check_k(K)  # the largest size, before any cell is computed or stored
-    if workers < 1:
-        raise ValueError(f"workers {workers} < 1")
+    if not 1 <= workers <= _MAX_WORKERS:
+        raise ValueError(f"workers {workers} not in 1..{_MAX_WORKERS}")
     if cache_dir == "":  # os.path.join would read the working directory
         raise ValueError("cache_dir must not be empty")
     sources = REPS if reps is None else tuple(sorted({rep_of(r) for r in reps}))

@@ -15,7 +15,6 @@ All values here are immutable; every function is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 # _BITREV[b] is byte b with its bit order reversed.  It turns the
 # little-endian bytes of a word's bits into PBM's raw raster, whose bytes
@@ -35,11 +34,6 @@ class Word:
             raise ValueError(f"negative length {self.length}")
         if self.bits < 0 or self.bits >> self.length:
             raise ValueError(f"bits 0x{self.bits:x} do not fit in {self.length} cells")
-
-    @classmethod
-    def from_bits(cls, cells: Iterable[int]) -> "Word":
-        """Pack cells given as the ints 0 and 1, cell 0 first."""
-        return cls.from_text("".join(map(str, cells)))
 
     @classmethod
     def from_text(cls, text: str) -> "Word":

@@ -11,7 +11,7 @@ script to print the table that ``rules._CHAINS`` holds.
 import ast
 from functools import cache
 
-from eca_emulation import Word, rule_from_wolfram
+from eca_emulation import rule_from_wolfram
 from eca_emulation.rules import _CHAINS, _chain_step
 
 # Truth tables of the three inputs: bit i is the value at neighbourhood
@@ -104,7 +104,7 @@ def test_chain_equals_local_rule_on_every_neighbourhood():
         rule, step = rule_from_wolfram(n), _chain_step(n)
         for i in range(8):
             b1, b2, b3 = (i >> 2) & 1, (i >> 1) & 1, i & 1
-            assert step(Word.from_bits([b1, b2, b3]).bits) & 1 == rule(b1, b2, b3), (n, i)
+            assert step(b1 | b2 << 1 | b3 << 2) & 1 == rule(b1, b2, b3), (n, i)
 
 
 def test_chains_have_minimum_cost():

@@ -14,14 +14,12 @@ from eca_emulation import (
     Subalgebra,
     Word,
     check_emulation_naive,
-    closure,
     compose_witnesses,
     decode_config,
     dual,
     emulated_rule_map,
     emulated_rules,
     encode_config,
-    is_self_similar,
     mirror,
     proper_subalgebra_search,
     read_pbm,
@@ -569,34 +567,46 @@ def test_compose_checks_the_composite(monkeypatch):
 
 # --- closures -----------------------------------------------------------
 
+def _table(g, k):
+    """The full operation table of g's k-cell supercells, as an n^3 array."""
+    n = 1 << k
+    return _unravel_batch(g, np.arange(n ** 3, dtype=np.uint64), 3 * k, k).reshape(n, n, n)
+
+
+def _is_closed(g, k, elems):
+    """Every product of three of the elements lies among them, read off the
+    full table rather than re-closed."""
+    e = sorted(elems)
+    return set(_table(g, k)[np.ix_(e, e, e)].ravel().tolist()) <= set(e)
+
+
+def _is_closed_subalgebra(s):
+    return _is_closed(s.rule.wolfram, s.k, [w.bits for w in s.elements])
+
+
+def _closure(g, k, seeds):
+    """The subalgebra of g's k-cell supercells that the seed words generate,
+    the whole algebra included, as a set of ints."""
+    return set(emulation._close(g, k, [w.bits for w in seeds], 1 << k))
+
+
 def test_singleton_closure_examples():
-    s = closure(R(204), 2, [W("01")])
-    assert s.elements == frozenset({W("01")})
-    s = closure(R(0), 2, [W("11")])
-    assert s.elements == frozenset({W("11"), W("00")})
-    s = closure(R(30), 1, [W("0")])
-    assert s.elements == frozenset({W("0")})
+    assert _closure(204, 2, [W("01")]) == {W("01").bits}
+    assert _closure(0, 2, [W("11")]) == {W("11").bits, W("00").bits}
+    assert _closure(30, 1, [W("0")]) == {W("0").bits}
 
 
 def test_pair_closure_examples():
-    s = closure(R(204), 2, [W("00"), W("11")])
-    assert s.elements == frozenset({W("00"), W("11")})
+    assert _closure(204, 2, [W("00"), W("11")]) == {W("00").bits, W("11").bits}
     enc = check_emulation_naive(R(184), R(148), 2)
-    s = closure(R(148), 2, [enc.enc0, enc.enc1])
-    assert s.elements == frozenset({enc.enc0, enc.enc1})
-    assert s.is_closed() and s.is_proper
+    s = _closure(148, 2, [enc.enc0, enc.enc1])
+    assert s == {enc.enc0.bits, enc.enc1.bits}
+    assert _is_closed(148, 2, s) and len(s) < 4
     # every pair generates all four supercells of rule 30 at size 2
     for u in range(4):
         for v in range(u + 1, 4):
-            s = closure(R(30), 2, [Word(u, 2), Word(v, 2)])
-            assert s.elements == frozenset(Word(w, 2) for w in range(4))
-            assert s.is_closed() and not s.is_proper
-
-
-def test_closure_reads_its_seeds_once():
-    # any iterable of seeds works, a generator included
-    s = closure(R(148), 2, (W(t) for t in ("00", "01")))
-    assert s == closure(R(148), 2, [W("00"), W("01")])
+            s = _closure(30, 2, [Word(u, 2), Word(v, 2)])
+            assert s == set(range(4)) and _is_closed(30, 2, s)
 
 
 def test_closures_are_closed():
@@ -605,13 +615,13 @@ def test_closures_are_closed():
         k = rng.randrange(1, 5)
         g = R(rng.randrange(256))
         u = Word(rng.getrandbits(k), k)
-        s = closure(g, k, [u])
-        assert s.is_closed()
-        elems = sorted(s.elements, key=lambda w: w.bits)
+        s = _closure(g.wolfram, k, [u])
+        assert _is_closed(g.wolfram, k, s)
+        elems = [Word(e, k) for e in sorted(s)]
         for a in elems[:4]:
             for b in elems[:4]:
                 for c in elems[:4]:
-                    assert supercell_step(g, k, a, b, c) in s.elements
+                    assert supercell_step(g, k, a, b, c).bits in s
 
 
 def brute_has_proper_subalgebra(g, k):
@@ -635,7 +645,7 @@ def test_search_matches_subset_oracle_size_two():
         found = proper_subalgebra_search(g, 2)
         assert (found is not None) == brute_has_proper_subalgebra(g, 2), n
         if found is not None:
-            assert found.is_proper and len(found.elements) >= 2 and found.is_closed()
+            assert 2 <= len(found.elements) < 4 and _is_closed_subalgebra(found)
 
 
 def test_search_matches_subset_oracle_size_three():
@@ -656,8 +666,8 @@ def test_subalgebra_existence_is_invariant_on_orbits():
 
 def test_proper_subalgebra_search_examples():
     s = proper_subalgebra_search(R(204), 3)
-    assert s is not None and s.is_proper and len(s.elements) >= 2
-    assert s.is_closed()
+    assert s is not None and 2 <= len(s.elements) < 8
+    assert _is_closed_subalgebra(s)
     for k in (2, 3, 4):
         assert proper_subalgebra_search(R(30), k) is None
     s = proper_subalgebra_search(R(90), 2)
@@ -679,7 +689,7 @@ def test_search_answers_from_the_fixed_point_pairs():
         s = proper_subalgebra_search(R(204), 2)
     assert [c.args[2] for c in close.call_args_list] == [[0, 1]]
     assert s.elements == frozenset({W("00"), W("10")})
-    assert s.is_proper and s.is_closed()
+    assert _is_closed_subalgebra(s)
 
 
 def _closure_oracle(table, seeds):
@@ -699,7 +709,7 @@ def test_close_is_the_capped_closure(data, g, k):
     # _close gives the closure, or None exactly when it holds more than cap
     # elements; marking elements whose own closure is full changes nothing
     n = 1 << k
-    table = _unravel_batch(g, np.arange(n ** 3, dtype=np.uint64), 3 * k, k).reshape(n, n, n)
+    table = _table(g, k)
     seeds = data.draw(st.lists(st.integers(0, n - 1), max_size=4), label="seeds")
     closure = _closure_oracle(table, seeds)
     cap = data.draw(st.integers(1, n), label="cap")
@@ -1069,24 +1079,18 @@ def test_search_memory_at_the_kernel_limit_extended():
     assert peak <= 128 * 2**20
 
 
+def _first_self_similar_size(f, kmax):
+    """Smallest k in 2..kmax with f <=_k f, or None if there is none."""
+    return next((k for k in range(2, kmax + 1)
+                 if f.wolfram in emulated_rule_map(f, k)), None)
+
+
 def test_self_similarity():
-    assert is_self_similar(R(204), 11) == 2
-    assert is_self_similar(R(90), 11) == 2
-    k184 = is_self_similar(R(184), 11)
+    assert _first_self_similar_size(R(204), 11) == 2
+    assert _first_self_similar_size(R(90), 11) == 2
+    k184 = _first_self_similar_size(R(184), 11)
     assert k184 is not None and 2 <= k184 <= 11
-    assert is_self_similar(R(30), 6) is None
-    with pytest.raises(ValueError):
-        is_self_similar(R(30), 1)
-
-
-def test_self_similarity_checks_the_largest_size_first(monkeypatch):
-    # a kmax past the packed kernel limit used to enumerate k = 2..20 first
-    def refuse(*args):
-        raise AssertionError("enumeration started before kmax was checked")
-
-    monkeypatch.setattr(emulation, "emulated_rule_map", refuse)
-    with pytest.raises(ValueError, match="exceeds the packed kernel limit"):
-        is_self_similar(R(30), 21)
+    assert _first_self_similar_size(R(30), 6) is None
 
 
 @pytest.mark.parametrize("call", [
@@ -1096,12 +1100,11 @@ def test_self_similarity_checks_the_largest_size_first(monkeypatch):
     lambda: read_pbm(b"P1\n2 2\n0 1 0\n"),
     lambda: _unravel_batch(30, np.zeros(1, dtype=np.uint64), 63, 1),
     lambda: _unravel_batch(30, np.zeros(1, dtype=np.uint64), 4, 2),
-    lambda: closure(R(30), 2, [W("00"), W("1")]),
     lambda: Subalgebra(R(30), 2, frozenset({Word(5, 3)})),
     lambda: Subalgebra(R(30), 25, frozenset({Word(0, 25), Word(1, 25)})),
     lambda: Subalgebra(R(30), 0, frozenset()),
 ], ids=["decode-length", "witness-size", "render-short", "pbm-cells",
-        "batch-width", "batch-steps", "closure-seed", "subalgebra-cells",
+        "batch-width", "batch-steps", "subalgebra-cells",
         "subalgebra-size", "subalgebra-empty-size"])
 def test_malformed_arguments_raise_value_error(call):
     with pytest.raises(ValueError):

@@ -12,14 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import eca_emulation
 from eca_emulation import (
     EmulationWitness,
     Encoding,
+    Subalgebra,
     classify,
     compose_witnesses,
     compute_hierarchy,
     dual,
-    dual_classes,
     emulated_rule_map,
     export,
     load_json,
@@ -49,15 +50,13 @@ def graph_k3():
 
 
 def test_dual_classes_count_and_membership():
-    classes = dual_classes()
-    assert len(classes) == 136
-    by_rep = {c.representative: c for c in classes}
-    assert by_rep[110].members == (110, 137)
-    assert by_rep[51].members == (51,)
-    assert [c.representative for c in classes] == sorted(by_rep)
-    # the classes partition the full rule space
-    seen = [m for c in classes for m in c.members]
-    assert sorted(seen) == list(range(256))
+    # a class is {n, dual(n)}; REPS lists each class's representative once
+    assert len(hierarchy.REPS) == 136
+    assert list(hierarchy.REPS) == sorted({rep_of(n) for n in range(256)})
+    assert rep_of(137) == rep_of(110) == 110
+    assert rep_of(51) == 51 == dual(rule_from_wolfram(51)).wolfram
+    for n in range(256):
+        assert rep_of(dual(rule_from_wolfram(n)).wolfram) == rep_of(n)
 
 
 def test_rep_of():
@@ -74,8 +73,8 @@ def test_graph_contains_traffic_edge(graph_k2):
     e = graph_k2.edge(148, 184)
     assert e is not None and e.k == 2 and e.holds()
     assert (e.emulator.wolfram, e.emulated.wolfram) == (148, 184)
-    assert e in graph_k2.edges_from(148) and e in graph_k2.edges_to(184)
-    assert {x.emulator.wolfram for x in graph_k2.edges_from(148)} == {148}
+    assert e in graph_k2.edges
+    assert 148 in {x.emulator.wolfram for x in graph_k2.edges if x.emulated.wolfram == 184}
 
 
 def test_every_node_has_trivial_self_edge(graph_k2):
@@ -85,9 +84,8 @@ def test_every_node_has_trivial_self_edge(graph_k2):
 
 
 def test_edges_point_to_representatives(graph_k2):
-    reps = {c.representative for c in dual_classes()}
     for e in graph_k2.edges:
-        assert e.emulator.wolfram in reps and e.emulated.wolfram in reps
+        assert e.emulator.wolfram in hierarchy.REPS and e.emulated.wolfram in hierarchy.REPS
     # the sweep builds its edges in (emulator, emulated) order, unsorted
     keys = [(e.emulator.wolfram, e.emulated.wolfram) for e in graph_k2.edges]
     assert keys == sorted(set(keys))
@@ -144,7 +142,8 @@ def test_duality_projection(graph_k3):
             assert projected == {rep_of(f) for f, _, _ in cells[(rep_of(g), k)]}
             for r in projected:
                 kmin.setdefault(r, k)
-        assert {e.emulated.wolfram: e.k for e in graph_k3.edges_from(rep_of(g))} == kmin
+        assert {e.emulated.wolfram: e.k for e in graph_k3.edges
+                if e.emulator.wolfram == rep_of(g)} == kmin
 
 
 def test_subset_computation():
@@ -212,6 +211,18 @@ def test_workers_never_outnumber_the_tasks(monkeypatch):
     assert _RecordingPool.sizes == []
     # two sizes are two tasks: two processes, not eight
     assert compute_hierarchy(2, reps=[204], workers=8) == serial
+    assert _RecordingPool.sizes == [2]
+
+
+def test_compute_bounds_the_workers(monkeypatch):
+    # the CLI's parser used to be the only bound: compute_hierarchy(11,
+    # workers=500) would have started one process per task, up to 500
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    with pytest.raises(ValueError, match="workers 65 not in 1..64"):
+        compute_hierarchy(2, reps=[204], workers=65)
+    assert _RecordingPool.sizes == []
+    compute_hierarchy(2, reps=[204], workers=64)
     assert _RecordingPool.sizes == [2]
 
 
@@ -857,3 +868,33 @@ def test_dot_export_marks_self_similar(graph_k2):
 def test_unknown_format_rejected(graph_k2):
     with pytest.raises(ValueError):
         export(graph_k2, "xml")
+
+
+# --- the public surface ---------------------------------------------------
+
+def test_readme_quick_tour_runs(capsys):
+    # the fenced python block under "Library quick tour", with each line
+    # commented "# True" asserted
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quick tour", 1)[1].split("```python\n", 1)[1]
+    lines = []
+    for line in block.split("\n```", 1)[0].splitlines():
+        code, _, comment = line.partition("#")
+        lines.append(f"assert {code.strip()}" if comment.strip() == "True" else line)
+    assert sum(line.startswith("assert ") for line in lines) == 3
+    exec("\n".join(lines), {})
+    assert capsys.readouterr().out.startswith("emulator,emulated,kmin\n0,0,1\n")
+
+
+# Second ways in to jobs the remaining names do (the tests were their only
+# callers); each job has one way in.
+_DELETED = ("closure", "is_closed", "is_proper", "is_self_similar", "DualityClass",
+            "dual_classes", "edges_from", "edges_to", "from_bits")
+
+
+def test_public_surface():
+    names = eca_emulation.__all__
+    assert names == sorted(set(names))
+    assert all(hasattr(eca_emulation, name) for name in names)
+    for owner in (eca_emulation, HierarchyGraph, Subalgebra, Word):
+        assert [name for name in _DELETED if hasattr(owner, name)] == [], owner

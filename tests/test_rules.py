@@ -138,7 +138,7 @@ def test_global_step_matches_cellwise_oracle():
         grids = [[(i >> j) & 1 for j in range(3)] for i in range(8)]
         grids.append([rng.randrange(2) for _ in range(rng.randrange(4, 80))])
         for cells in grids:
-            stepped = global_step(rule, Word.from_bits(cells))
+            stepped = global_step(rule, Word.from_text("".join(map(str, cells))))
             assert list(stepped) == step_oracle(rule, cells)
 
 

@@ -18,6 +18,11 @@ from eca_emulation.emulation import _gk_table_list
 from eca_emulation.rules import MAX_SUPERCELL_BITS, _unravel_batch, _unravel_bits
 
 
+def _word(cells):
+    """The word of a list of cells given as the ints 0 and 1, cell 0 first."""
+    return Word.from_text("".join(map(str, cells)))
+
+
 def unravel_oracle(rule, cells):
     """Window-by-window application, the definition read literally."""
     return [rule(cells[i], cells[i + 1], cells[i + 2]) for i in range(len(cells) - 2)]
@@ -40,7 +45,7 @@ def test_unravel_matches_oracle():
         rule = rule_from_wolfram(n)
         for m in (rng.randrange(3, 50), rng.randrange(65, 200)):
             cells = [rng.randrange(2) for _ in range(m)]
-            assert list(unravel(rule, Word.from_bits(cells), 1)) == unravel_oracle(rule, cells)
+            assert list(unravel(rule, _word(cells), 1)) == unravel_oracle(rule, cells)
         m = rng.randrange(3, MAX_SUPERCELL_BITS + 1)
         steps = rng.randrange(1, (m - 1) // 2 + 1)
         words = [[rng.randrange(2) for _ in range(m)] for _ in range(8)]
@@ -48,8 +53,8 @@ def test_unravel_matches_oracle():
         for cells in words:
             for _ in range(steps):
                 cells = unravel_oracle(rule, cells)
-            expected.append(Word.from_bits(cells).bits)
-        packed = np.array([Word.from_bits(cells).bits for cells in words], dtype=np.uint64)
+            expected.append(_word(cells).bits)
+        packed = np.array([_word(cells).bits for cells in words], dtype=np.uint64)
         assert _unravel_batch(n, packed, m, steps).tolist() == expected
 
 
@@ -175,9 +180,9 @@ def test_open_window_agrees_with_cyclic_interior():
         t = rng.randrange(1, 5)
         rule = rule_from_wolfram(rng.randrange(256))
         cells = [rng.randrange(2) for _ in range(n)]
-        unrolled = Word.from_bits([cells[(j - t) % n] for j in range(n + 2 * t)])
+        unrolled = _word([cells[(j - t) % n] for j in range(n + 2 * t)])
         open_result = unravel(rule, unrolled, t)
-        g = Word.from_bits(cells)
+        g = _word(cells)
         for _ in range(t):
             g = global_step(rule, g)
         assert open_result == g

@@ -17,7 +17,7 @@ def test_from_text_packs_little_endian():
 
 def test_from_bits_roundtrip():
     cells = [0, 1, 1, 0, 1, 0, 0, 1, 1]
-    w = Word.from_bits(cells)
+    w = Word(sum(c << i for i, c in enumerate(cells)), len(cells))
     assert list(w) == cells
     assert Word.from_text(w.text) == w
 
@@ -56,7 +56,7 @@ def test_rejects_bad_values():
     with pytest.raises(ValueError):
         Word(0, -1)
     with pytest.raises(ValueError):
-        Word.from_bits([0, 2])
+        Word.from_text("02")
     with pytest.raises(ValueError):
         Word.from_text("\uff11")  # a fullwidth 1: only ASCII 0 and 1 are cells
 
