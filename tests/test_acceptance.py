@@ -103,25 +103,30 @@ def test_criterion_03_algorithm_cross_oracle():
     for g in range(256):
         for k in (1, 2, 3, 4):
             listing = emulated_rules(R(g), k)
-            set2 = {f.wolfram for f, _ in listing}
-            set1 = set()
+            first = {}
+            for f, enc in listing:
+                first.setdefault(f.wolfram, enc)
+            found = {}
             for f in range(256):
                 enc = check_emulation_naive(R(f), R(g), k)
                 if enc is not None:
-                    set1.add(f)
+                    found[f] = enc
                     witnesses[(f, g, k, enc.enc0.bits, enc.enc1.bits)] = \
                         EmulationWitness(R(f), R(g), k, enc)
-            if set1 != set2:
-                mismatches.append((g, k, sorted(set1 ^ set2)))
+            # the naive witness is the first the enumeration lists for that f
+            if found != first:
+                mismatches.append((g, k, sorted(f for f in found.keys() | first.keys()
+                                                if found.get(f) != first.get(f))))
             for f, enc in listing:
                 key = (f.wolfram, g, k, enc.enc0.bits, enc.enc1.bits)
                 witnesses.setdefault(key, EmulationWitness(f, R(g), k, enc))
     failed = sum(not verify_witness(w, 30, 5, samples=100, seed=2024)
                  for w in witnesses.values())
     ok = not mismatches and failed == 0
-    report(3, "naive scan and subalgebra enumeration agree for all 256 rules "
-              "at sizes 1-4; every emitted witness re-verifies", ok,
-           f"{len(witnesses)} witnesses, {len(mismatches)} set mismatches, "
+    report(3, "naive scan and subalgebra enumeration find the same rules with "
+              "the same first witness for all 256 rules at sizes 1-4; every "
+              "emitted witness re-verifies", ok,
+           f"{len(witnesses)} witnesses, {len(mismatches)} mismatched cells, "
            f"{failed} verification failures")
 
 

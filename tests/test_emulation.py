@@ -162,14 +162,78 @@ def test_reflexivity_all_rules():
 
 
 def test_naive_scan_batched_path_agrees():
-    # size 7 exercises the chunked path; cross-check against the listing
+    # size 7 exercises the chunked path; cross-check against the listing,
+    # whose first entry for f is the scan-order-minimal witness
     for g in (204, 148, 30):
-        listed = set(emulated_rule_map(R(g), 7))
+        listed = emulated_rule_map(R(g), 7)
         for f in (0, 30, 170, 184, 204):
             enc = check_emulation_naive(R(f), R(g), 7)
-            assert (enc is not None) == (f in listed)
+            assert enc == listed.get(f), (f, g)
             if enc is not None:
                 assert EmulationWitness(R(f), R(g), 7, enc).holds()
+
+
+def naive_scan_literal(f, g, k):
+    """The naive scan read literally: every ordered pair in scan order,
+    each tried on all eight equations in turn.  The reference for
+    check_emulation_naive, which takes the two constant patterns first."""
+    tab = emulation._gk_table_list(g.wolfram, k)
+    fbits = f.table
+    n = 1 << k
+    k2 = 2 * k
+    for e0 in range(n):
+        for e1 in range(n):
+            if e0 == e1:
+                continue
+            enc = (e0, e1)
+            for i in range(8):
+                w = enc[(i >> 2) & 1] | enc[(i >> 1) & 1] << k | enc[i & 1] << k2
+                if tab[w] != enc[fbits[i]]:
+                    break
+            else:
+                return Encoding(Word(e0, k), Word(e1, k))
+    return None
+
+
+def _naive_scan_matches_literal(emulators, sizes):
+    """Assert check_emulation_naive's answer is the literal scan's for every
+    f; return the (f(000), f(111)) branches that found a witness."""
+    branches = set()
+    for k in sizes:
+        for g in emulators:
+            for f in range(256):
+                enc = check_emulation_naive(R(f), R(g), k)
+                assert enc == naive_scan_literal(R(f), R(g), k), (f, g, k)
+                if enc is not None:
+                    branches.add((f & 1, f >> 7))
+    return branches
+
+
+ALL_BRANCHES = {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+@pytest.mark.parametrize("emulators, sizes, branches, chunk", [
+    (range(256), (1, 2, 3), ALL_BRANCHES, emulation._CHUNK),
+    ((30, 90, 110, 150, 204), (4, 5, 6), {(0, 0), (0, 1), (1, 1)}, emulation._CHUNK),
+    # the batched path: 108 finds a witness on every branch, and 204's 128
+    # fixed points give 16,256 pairs to the f(000) = 0, f(111) = 1 branch,
+    # 17 chunks of 1,000 pair indices that split the rows of e0
+    ((108, 204), (7,), ALL_BRANCHES, 1000),
+], ids=["all-emulators-sizes-1-3", "five-emulators-sizes-4-6", "batched-size-7"])
+def test_naive_scan_matches_literal_scan(emulators, sizes, branches, chunk):
+    try:
+        with mock.patch.object(emulation, "_CHUNK", chunk):
+            assert _naive_scan_matches_literal(emulators, sizes) == branches
+    finally:
+        # free the k = 7 tables (~17 MB each), and keep (110, 6) cold for
+        # criterion 9, whose bench times the table build with the scans
+        emulation._gk_table_list.cache_clear()
+
+
+@needs_extended
+def test_naive_scan_matches_literal_scan_extended():
+    # no rule emulates an f with f(000) = 1, f(111) = 0 at size 4
+    assert _naive_scan_matches_literal(range(256), (4,)) == {(0, 0), (0, 1), (1, 1)}
 
 
 # --- subalgebra enumeration --------------------------------------------
