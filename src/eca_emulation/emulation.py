@@ -48,7 +48,6 @@ from .rules import (
     _unravel_batch,
     _unravel_bits,
     rule_from_wolfram,
-    supercell_step,
 )
 from .words import _BITREV, Word
 
@@ -142,14 +141,23 @@ class EmulationWitness:
             raise ValueError(f"witness size {self.k} != encoding size {self.encoding.k}")
 
     def holds(self) -> bool:
-        """Check the eight defining equations directly."""
-        code = (self.encoding.enc0, self.encoding.enc1)
-        for i in range(8):
-            s1, s2, s3 = (i >> 2) & 1, (i >> 1) & 1, i & 1
-            got = supercell_step(self.emulator, self.k, code[s1], code[s2], code[s3])
-            if got != code[self.emulated(s1, s2, s3)]:
-                return False
-        return True
+        """Check the eight defining equations, in one kernel call per rule.
+
+        The 10 cells 0001110100 (a de Bruijn word) hold each neighborhood
+        once, as the window at cells i..i+2, i = 0..7.  Block i of the
+        k-fold unravelling of their encoding depends only on blocks i..i+2,
+        so it is the supercell step of neighborhood i, and comparing the
+        whole unravelling with the encoding of f's one step checks exactly
+        the eight equations.
+        """
+        k, code = self.k, (self.encoding.enc0.bits, self.encoding.enc1.bits)
+        word = 0b0010111000  # cell 0 lowest
+
+        def enc(bits: int, m: int) -> int:
+            return sum(code[bits >> i & 1] << k * i for i in range(m))
+
+        return (_unravel_bits(self.emulator.wolfram, enc(word, 10), 10 * k, k)
+                == enc(_unravel_bits(self.emulated.wolfram, word, 10, 1), 8))
 
     def to_json_dict(self) -> dict:
         return {
@@ -607,6 +615,9 @@ def verify_witness(w: EmulationWitness, length: int, horizon: int,
     step drops, so each step ends with one masked comparison.  The draws
     are the same as one sample at a time, so the verdict is too, bit for
     bit.  Blocks of at most ``_VERIFY_BITS`` encoded bits bound memory.
+    The first block's draws are cached per (seed, length, size), so
+    verifying a listing with one seed draws and packs them once; later
+    blocks continue from the generator state saved with them.
     """
     if horizon < 0:
         raise ValueError(f"negative horizon {horizon}")
@@ -618,11 +629,16 @@ def verify_witness(w: EmulationWitness, length: int, horizon: int,
         return False
     f, g, k = w.emulated.wolfram, w.emulator.wolfram, w.k
     table = _encoding_table(w.encoding)
-    rng = random.Random(seed)
     per_block = max(1, _VERIFY_BITS // (k * length))
     for lo in range(0, samples, per_block):
         n = min(per_block, samples - lo)
-        fbits = _pack([rng.getrandbits(length) for _ in range(n)], length)
+        if not lo:
+            fbits, state = _first_block(seed, length, n)
+        else:
+            if lo == per_block:  # later blocks continue the first block's draws
+                rng = random.Random()
+                rng.setstate(state)
+            fbits = _pack([rng.getrandbits(length) for _ in range(n)], length)
         gbits = _encode_bits(table, fbits, n * length)
         rep = ((1 << k * n * length) - 1) // ((1 << k * length) - 1)
         m = length
@@ -634,6 +650,15 @@ def verify_witness(w: EmulationWitness, length: int, horizon: int,
             if (_encode_bits(table, fbits, width - 2) ^ gbits) & rep * ((1 << k * m) - 1):
                 return False
     return True
+
+
+@lru_cache(maxsize=8)
+def _first_block(seed: int, length: int, n: int) -> tuple[int, tuple]:
+    """verify_witness's first block: n draws of ``random.Random(seed)``,
+    ``getrandbits(length)`` each, packed, and the generator's state after
+    them.  A listing verified with one seed draws them once."""
+    rng = random.Random(seed)
+    return _pack([rng.getrandbits(length) for _ in range(n)], length), rng.getstate()
 
 
 def _encoding_table(enc: Encoding) -> np.ndarray:
@@ -656,7 +681,7 @@ def _encode_bits(table: np.ndarray, bits: int, m: int) -> int:
     cell i becomes bits k*i..k*i+k-1, so byte j becomes bytes k*j..k*j+k-1."""
     np = _numpy()
     cells = np.frombuffer(bits.to_bytes((m + 7) // 8, "little"), np.uint8)
-    encoded = int.from_bytes(table[cells].tobytes(), "little")
+    encoded = int.from_bytes(table.take(cells, axis=0).tobytes(), "little")
     return encoded & ((1 << table.shape[1] * m) - 1)
 
 

@@ -225,8 +225,7 @@ def test_naive_scan_matches_literal_scan(emulators, sizes, branches, chunk):
         with mock.patch.object(emulation, "_CHUNK", chunk):
             assert _naive_scan_matches_literal(emulators, sizes) == branches
     finally:
-        # free the k = 7 tables (~17 MB each), and keep (110, 6) cold for
-        # criterion 9, whose bench times the table build with the scans
+        # free the k = 7 tables (~17 MB each)
         emulation._gk_table_list.cache_clear()
 
 

@@ -1,7 +1,9 @@
 """The packed witness check against a one-sample-at-a-time reference."""
 
 import functools
+import os
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,14 +13,31 @@ from eca_emulation import (
     Encoding,
     Word,
     check_emulation_naive,
+    compose_witnesses,
+    decode_config,
     encode_config,
     rule_from_wolfram,
     verify_witness,
 )
 from eca_emulation import emulation
-from eca_emulation.rules import _unravel_bits
+from eca_emulation.rules import _unravel_bits, supercell_step
 
 R = rule_from_wolfram
+
+needs_extended = pytest.mark.skipif(
+    os.environ.get("ECA_EMULATION_EXTENDED") != "1",
+    reason="set ECA_EMULATION_EXTENDED=1 for the full-depth runs")
+
+
+def holds_literal(w):
+    """The eight defining equations, one supercell_step call each."""
+    code = (w.encoding.enc0, w.encoding.enc1)
+    for i in range(8):
+        s1, s2, s3 = (i >> 2) & 1, (i >> 1) & 1, i & 1
+        got = supercell_step(w.emulator, w.k, code[s1], code[s2], code[s3])
+        if got != code[w.emulated(s1, s2, s3)]:
+            return False
+    return True
 
 
 @functools.lru_cache(maxsize=None)
@@ -112,10 +131,124 @@ def test_packed_check_block_boundaries(monkeypatch):
 
 def test_encode_config_matches_per_byte_reference():
     rng = random.Random(17)
-    for _ in range(300):
+    for _ in range(600):
+        k = rng.randrange(1, 21)
+        e0, e1 = rng.sample(range(1 << k), 2)
+        enc = Encoding(Word(e0, k), Word(e1, k))
+        m = rng.choice((0, 1, 7, 8, 9, 15, 17, rng.randrange(0, 200)))
+        w = Word(rng.getrandbits(m), m)
+        assert encode_config(enc, w) == Word(encode_per_byte(enc, w.bits, m), k * m)
+        assert decode_config(enc, encode_config(enc, w)) == w
+
+
+def _holds_cases(k, emulated):
+    """Every emulator and every encoding pair at size k, each against the
+    candidates ``emulated(g, enc)`` yields."""
+    for e0, e1 in permutations(range(1 << k), 2):
+        enc = Encoding(Word(e0, k), Word(e1, k))
+        for g in range(256):
+            for f in emulated(g, enc):
+                yield EmulationWitness(R(f), R(g), k, enc)
+
+
+def _near_misses(g, enc):
+    """The one f whose eight equations hold for (g, enc), if any, and every
+    rule that differs from it in one neighborhood; else three fixed rules."""
+    code = (enc.enc0, enc.enc1)
+    images = [supercell_step(R(g), enc.k, code[i >> 2 & 1], code[i >> 1 & 1], code[i & 1])
+              for i in range(8)]
+    if not all(im in code for im in images):
+        return (0, 110, 255)
+    f = sum(code.index(im) << i for i, im in enumerate(images))
+    return (f, *(f ^ 1 << i for i in range(8)))
+
+
+def test_holds_matches_literal_equations_at_size_one():
+    for w in _holds_cases(1, lambda g, enc: range(256)):
+        assert w.holds() == holds_literal(w), w
+
+
+def test_holds_matches_literal_equations_near_misses_at_size_two():
+    found = 0
+    for w in _holds_cases(2, _near_misses):
+        assert w.holds() == holds_literal(w), w
+        found += w.holds()
+    assert found > 100  # the true cases are reached, not only misses
+
+
+@needs_extended
+def test_holds_matches_literal_equations_at_size_two_extended():
+    for w in _holds_cases(2, lambda g, enc: range(256)):
+        assert w.holds() == holds_literal(w), w
+
+
+def test_holds_matches_literal_equations_random():
+    rng = random.Random(23)
+    for _ in range(3000):
         k = rng.randrange(1, 9)
         e0, e1 = rng.sample(range(1 << k), 2)
         enc = Encoding(Word(e0, k), Word(e1, k))
-        m = rng.choice((0, 1, 7, 8, 9, rng.randrange(0, 80)))
-        w = Word(rng.getrandbits(m), m)
-        assert encode_config(enc, w) == Word(encode_per_byte(enc, w.bits, m), k * m)
+        g = rng.randrange(256)
+        f = rng.choice((rng.randrange(256), *_near_misses(g, enc)))
+        w = EmulationWitness(R(f), R(g), k, enc)
+        assert w.holds() == holds_literal(w), w
+
+
+def test_holds_matches_literal_equations_above_the_kernel_limit():
+    # 184 <=_3 184 through 010/101, composed to sizes 9, 81 and 243, and
+    # size 81 composed with 184 <=_2 148 <=_2 41: size 324, below the
+    # verify limit of 400
+    w3 = EmulationWitness(R(184), R(184), 3, Encoding(Word.from_text("010"), Word.from_text("101")))
+    w9 = compose_witnesses(w3, w3)
+    w81 = compose_witnesses(w9, w9)
+    w243 = compose_witnesses(w81, w3)
+    w324 = compose_witnesses(w81, compose_witnesses(
+        EmulationWitness(R(184), R(148), 2, check_emulation_naive(R(184), R(148), 2)),
+        EmulationWitness(R(148), R(41), 2, check_emulation_naive(R(148), R(41), 2))))
+    for w in (w9, w81, w243, w324):
+        assert w.holds() and holds_literal(w)
+        enc, k = w.encoding, w.k
+        for i in (0, 1, k // 2, k - 1):  # one cell of one code word flipped
+            bad = Encoding(enc.enc0, Word(enc.enc1.bits ^ 1 << i, k))
+            for f in (w.emulated, R(w.emulated.wolfram ^ 0x10)):
+                v = EmulationWitness(f, w.emulator, k, bad)
+                assert v.holds() == holds_literal(v)
+        v = EmulationWitness(R(w.emulated.wolfram ^ 0x10), w.emulator, k, enc)
+        assert not v.holds() and not holds_literal(v)
+
+
+def test_first_block_cache_keeps_the_verdicts(monkeypatch):
+    # alternating seeds, lengths and sample counts hit and miss the cache,
+    # and with 12-bit blocks most calls run several blocks
+    monkeypatch.setattr(emulation, "_VERIFY_BITS", 12)
+    monkeypatch.setattr(EmulationWitness, "holds", lambda self: True)
+    emulation._first_block.cache_clear()
+    entries = []
+    cached = emulation._first_block
+
+    def recorder(seed, length, n):
+        out = cached(seed, length, n)
+        entries.append((n, out[0]))
+        return out
+
+    monkeypatch.setattr(emulation, "_first_block", recorder)
+    rng = random.Random(29)
+    good = EmulationWitness(R(184), R(148), 2, check_emulation_naive(R(184), R(148), 2))
+    # rule 128 differs from rule 0 only on 111: a sample fails when it holds 111
+    bad = EmulationWitness(R(0), R(128), 1, Encoding(Word(0, 1), Word(1, 1)))
+    verdicts = set()
+    for _ in range(400):
+        w = rng.choice((good, bad))
+        seed, length = rng.randrange(4), rng.choice((3, 4, 5, 13, 50))
+        samples = rng.choice((0, 1, 2, 7, 20, 60))
+        horizon = rng.randrange(0, (length - 1) // 2 + 1)
+        entries.clear()
+        got = verify_witness(w, length, horizon, samples, seed)
+        assert got == verify_per_sample(w, length, horizon, samples, seed)
+        verdicts.add((w is good, got))
+        for n, bits in entries:  # one block: one sample, or at most _VERIFY_BITS encoded
+            assert n == 1 or w.k * n * length <= emulation._VERIFY_BITS
+            assert bits.bit_length() <= n * length
+    info = cached.cache_info()
+    assert info.hits > 20 and info.misses > 20 and info.currsize <= 8
+    assert verdicts == {(True, True), (False, True), (False, False)}
