@@ -18,8 +18,8 @@ other on small instances.
 ``proper_subalgebra_search`` asks whether the supercell algebra contains
 *any* proper subalgebra with at least two elements, i.e. whether g can
 emulate any automaton with more than one state, non-trivially, at this
-supercell size; ``_close`` gives the subalgebra that a set of supercells
-generates, capped in size.
+supercell size; ``_close`` gives the proper subalgebra that a set of
+supercells generates, or None.
 
 Importing this module does not import numpy.  The functions that build
 arrays get it from ``_numpy()``, which also keeps glibc's heap: the
@@ -403,15 +403,10 @@ def _triangle_pairs(starts: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.n
     return i, i + 1 + t - starts[i]
 
 
-def _closed_pairs(wolfram: int, k: int, diag: np.ndarray, triangle: bool = True
+def _closed_pairs(wolfram: int, k: int, diag: np.ndarray
                   ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The pairs {u, v} (u < v) closed under the supercell operation, in
-    both orientations.
-
-    ``diag`` is the diagonal map ``_diagonal_map(wolfram, k)``.  With
-    ``triangle`` false the pairs of two diagonal fixed points are left out
-    and only the image pairs below are scanned; emulated_rule_map folds
-    the triangle in closed form for the rules that read one cell or none.
+    both orientations; ``diag`` is the diagonal map ``_diagonal_map(wolfram, k)``.
 
     Yields chunks (U, V, W) in scan order: the pairs of a chunk ascend by
     (u, v) and every pair of a chunk precedes every pair of the next.
@@ -465,7 +460,7 @@ def _closed_pairs(wolfram: int, k: int, diag: np.ndarray, triangle: bool = True
     images = np.sort(np.minimum(a, b) << sk | np.maximum(a, b))
     m = len(fix)
     starts = _triangle_starts(m)
-    total = m * (m - 1) // 2 if triangle else 0
+    total = m * (m - 1) // 2
     lo = taken = 0
     while lo < total or taken < len(images):
         i, j = _triangle_pairs(starts, np.arange(lo, min(lo + _CHUNK, total), dtype=np.int64))
@@ -523,16 +518,6 @@ def emulated_rules(g: EcaRule, k: int) -> list[tuple[EcaRule, Encoding]]:
             for f, a, b in zip(wol[order].tolist(), e0[order].tolist(), e1[order].tolist())]
 
 
-def _triangle_keys(c: np.ndarray, k: int) -> tuple[np.uint64, np.uint64]:
-    """The least c[i] << k | c[j] and the least c[j] << k | c[i] over all
-    i < j, for at least two k-bit entries c: one running minimum each."""
-    np = _numpy()
-    sk = np.uint64(k)
-    tail = np.minimum.accumulate(c[::-1])[::-1]  # tail[i] = min(c[i:])
-    head = np.minimum.accumulate(c)  # head[j] = min(c[:j + 1])
-    return (c[:-1] << sk | tail[1:]).min(), (c[1:] << sk | head[:-1]).min()
-
-
 def emulated_rule_map(g: EcaRule, k: int, targets=None) -> dict:
     """Map each emulated Wolfram number to its minimal witnessing encoding.
 
@@ -553,12 +538,15 @@ def emulated_rule_map(g: EcaRule, k: int, targets=None) -> dict:
     of all of g's closed pairs is t's own scan-order-minimal witness.
 
     When g reads one cell or none (``_pattern_classes`` evaluates no
-    product), every pair of diagonal fixed points is closed and induces
-    ``to_v`` in ascending orientation, dual(``to_v``) in descending.  So
-    the triangle is folded in closed form, by ``_triangle_keys`` of the
-    target's images of the ascending fixed points, and ``_closed_pairs``
-    scans only the image pairs; the direct fold walks all m(m - 1)
-    oriented pairs, 4,192,256 for rule 204 at k = 11.
+    product: 0, 15, 51, 85, 170, 204, 240, 255), its k-step operation is a
+    constant or one block, complemented or not, so 1, 0 or all 2^k
+    supercells are diagonal fixed points.  With all fixed, each product is
+    u or v, so every pair u != v is closed and induces ``to_v`` (170, 204
+    or 240, each its own dual) in both orientations; a target's supercell
+    map is a bijection, so its map is ``to_v`` (mirrored for a mirrored
+    target) keyed 0 << k | 1, written without a fold of the 2^k(2^k - 1)
+    oriented pairs, 4,192,256 for rule 204 at k = 11.  Otherwise no two
+    supercells are fixed, and ``_closed_pairs`` scans only image pairs.
     """
     _check_k(k)
     np = _numpy()
@@ -576,18 +564,15 @@ def emulated_rule_map(g: EcaRule, k: int, targets=None) -> dict:
         folds.append((t, np.full(256, none, dtype=np.uint64), cells, mirrored))
     to_v, evaluated = _pattern_classes(g.wolfram)[1:]
     diag = _diagonal_map(g.wolfram, k)
-    fix = np.flatnonzero(diag == np.arange(n, dtype=np.uint64))
-    if not evaluated and len(fix) > 1:
-        for _, best, cells, mirrored in folds:
-            keys = _triangle_keys(fix.astype(np.uint64) if cells is None else cells[fix], k)
-            for f, key in zip((int(to_v), _DUAL[to_v]), keys):
-                f = _MIRROR[f] if mirrored else f
-                best[f] = min(best[f], key)
-    for u, v, w in _closed_pairs(g.wolfram, k, diag, triangle=bool(evaluated)):
-        for _, best, cells, mirrored in folds:
-            a, b = (u, v) if cells is None else (cells[u.astype(np.int64)],
-                                                 cells[v.astype(np.int64)])
-            np.minimum.at(best, mirror_arr[w] if mirrored else w, a << sk | b)
+    if not evaluated and (diag == np.arange(n, dtype=np.uint64)).all():
+        for _, best, _, mirrored in folds:
+            best[_MIRROR[to_v] if mirrored else to_v] = 1  # (Word(0, k), Word(1, k))
+    else:
+        for u, v, w in _closed_pairs(g.wolfram, k, diag):
+            for _, best, cells, mirrored in folds:
+                a, b = (u, v) if cells is None else (cells[u.astype(np.int64)],
+                                                     cells[v.astype(np.int64)])
+                np.minimum.at(best, mirror_arr[w] if mirrored else w, a << sk | b)
     mask = n - 1
     return {f if targets is None else (t, f): Encoding(Word(key >> k, k), Word(key & mask, k))
             for t, best, _, _ in folds for f, key in enumerate(best.tolist()) if key != none}
@@ -732,30 +717,26 @@ class Subalgebra:
                 raise ValueError(f"supercell has {len(w)} cells, expected {self.k}")
 
 
-def _close(wolfram: int, k: int, seeds: list[int], cap: int,
-           full_generators: np.ndarray | None = None) -> list[int] | None:
+def _close(wolfram: int, k: int, seeds: list[int],
+           full_generators: np.ndarray) -> list[int] | None:
     """Closure of the seed set under the supercell operation, or None once
-    it holds more than ``cap`` elements.
+    it is the whole algebra or holds an element marked in
+    ``full_generators``, as known to generate the whole algebra.
 
     Incremental: each round evaluates only the triples touching elements
     added in the previous round, each once, in the tiles of
-    ``_triple_tiles``, and stops as soon as the element count exceeds
-    ``cap`` or reaches 2^k (the full set is always closed).  The element
-    list is in order of discovery, which follows the tile order.
-    ``full_generators`` may mark elements already known to generate the
-    full algebra; absorbing one makes this closure full too, so it returns
-    None at once; pass marks only with ``cap`` < 2^k.
+    ``_triple_tiles``, and stops as soon as the closure is answered.  The
+    element list is in order of discovery, which follows the tile order.
     """
     np = _numpy()
     n = 1 << k
-    marked = np.zeros(n, dtype=bool) if full_generators is None else full_generators
     member = np.zeros(n, dtype=bool)
     elems = list(dict.fromkeys(seeds))
     member[elems] = True
-    if len(elems) > cap or marked[elems].any():
+    if len(elems) == n or full_generators[elems].any():
         return None
     new_from = 0
-    while new_from < len(elems) < n:
+    while new_from < len(elems):
         old = np.array(elems[:new_from], dtype=np.uint64)
         new = np.array(elems[new_from:], dtype=np.uint64)
         cur = np.array(elems, dtype=np.uint64)
@@ -773,10 +754,8 @@ def _close(wolfram: int, k: int, seeds: list[int], cap: int,
                     fresh = np.flatnonzero(seen)
                     member[fresh] = True
                     elems.extend(fresh.tolist())
-                    if len(elems) > cap or marked[fresh].any():
+                    if len(elems) == n or full_generators[fresh].any():
                         return None
-                    if len(elems) == n:  # full: the rest of the round adds nothing
-                        return elems
     return elems
 
 
@@ -825,12 +804,12 @@ def proper_subalgebra_search(g: EcaRule, k: int) -> Subalgebra | None:
     singleton closures are resolved in ascending order of u: the first
     proper one with >= 2 elements is the answer, the full ones disqualify
     their element from further pairing, and the fixed points are paired up.
-    Both phases close under the cap 2^k - 1, so a full closure comes back as
-    None.  This is exhaustive: a proper subalgebra S with u, v in S forces
-    the singleton closures of u and v to stay inside S, so once the
-    singleton sweep found nothing, only pairs of fixed points remain
-    possible seeds.  No answer for any rule at k = 2..10 comes from those
-    pairs, but without them the search would not be exhaustive.
+    In both phases ``_close`` answers a full closure with None.  This is
+    exhaustive: a proper subalgebra S with u, v in S forces the singleton
+    closures of u and v to stay inside S, so once the singleton sweep found
+    nothing, only pairs of fixed points remain possible seeds.  No answer
+    for any rule at k = 2..10 comes from those pairs, but without them the
+    search would not be exhaustive.
 
     The pair phase closes few pairs.  Once the sweep is done, the marked
     elements are exactly the moved ones, so a pair of fixed points with a
@@ -898,7 +877,7 @@ def proper_subalgebra_search(g: EcaRule, k: int) -> Subalgebra | None:
     for u in range(n):
         if blows_up[u] or not moved[u]:
             continue
-        elems = _close(g.wolfram, k, [u], n - 1, blows_up)
+        elems = _close(g.wolfram, k, [u], blows_up)
         if elems is not None:
             return _as_subalgebra(g, k, elems)
         blows_up[u] = True
@@ -929,7 +908,7 @@ def _fixed_pair_search(wolfram: int, k: int, fix: np.ndarray,
             if full[t]:
                 break
             i, j = _triangle_pairs(starts, t)
-            elems = _close(wolfram, k, [int(fix[i]), int(fix[j])], (1 << k) - 1, blows_up)
+            elems = _close(wolfram, k, [int(fix[i]), int(fix[j])], blows_up)
             if elems is not None:
                 return elems
             full[t] = True

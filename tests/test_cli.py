@@ -509,8 +509,8 @@ def test_chaos_command(capsys):
 
 def test_chaos_outputs_unchanged(capsys):
     # sha256 of the stdout of `eca-emu chaos g --kmax 5` for g = 0..255 in
-    # turn (1,024 lines), recorded before _close answered a full closure in
-    # one way; it pins every scan-order-minimal subalgebra the search finds
+    # turn (1,024 lines); it pins every scan-order-minimal subalgebra the
+    # search finds, the proper closures of up to 31 elements among them
     digest = hashlib.sha256()
     for g in range(256):
         code, out = run(capsys, "chaos", str(g), "--kmax", "5")

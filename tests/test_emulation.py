@@ -465,39 +465,77 @@ def rule_map_direct_fold(g, k, targets):
             for t, best, _, _ in folds for f, key in enumerate(best.tolist()) if key != none}
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), k=st.integers(1, 11))
-def test_triangle_keys_are_the_least_oriented_pair_keys(data, k):
-    c = data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=2, max_size=40, unique=True))
-    up = min(c[i] << k | c[j] for i in range(len(c)) for j in range(i + 1, len(c)))
-    down = min(c[j] << k | c[i] for i in range(len(c)) for j in range(i + 1, len(c)))
-    assert emulation._triangle_keys(np.array(c, dtype=np.uint64), k) == (up, down)
-
-
-def test_one_block_triangle_closed_form_matches_the_direct_fold():
+def _one_block_maps_match_the_direct_fold(ks):
     for g in ONE_BLOCK_ORBITS:
         targets = _orbit(g)
-        for k in range(1, 11):
+        for k in ks:
             assert emulated_rule_map(R(g), k, targets) == rule_map_direct_fold(g, k, targets), (g, k)
 
 
-def test_one_block_rules_fold_only_their_image_pairs(monkeypatch):
-    # the fixed-point triangle is folded in closed form, so the map takes
-    # at most the 2^k image pairs from _closed_pairs, in both orientations
-    scanned = []
-    closed_pairs = emulation._closed_pairs
+def test_one_block_triangle_closed_form_matches_the_direct_fold():
+    _one_block_maps_match_the_direct_fold(range(1, 13))
 
-    def counted(*args, **kwargs):
-        for chunk in closed_pairs(*args, **kwargs):
-            scanned.append(len(chunk[0]))
+
+@needs_extended
+def test_one_block_triangle_closed_form_matches_the_direct_fold_extended():
+    _one_block_maps_match_the_direct_fold((13, 14))
+
+
+# the rule that a one-block rule induces on every pair of fixed points: the
+# memory rule that reads the same cell
+ONE_BLOCK_MEMORY = {15: 240, 51: 204, 85: 170, 170: 170, 204: 204, 240: 240}
+
+
+class _CountedClosedPairs:
+    """_closed_pairs, counting its calls and the pairs of its chunks."""
+
+    def __init__(self):
+        self.calls, self.pairs, self.closed_pairs = 0, 0, emulation._closed_pairs
+
+    def __call__(self, *args):
+        self.calls += 1
+        for chunk in self.closed_pairs(*args):
+            self.pairs += len(chunk[0])
             yield chunk
 
+
+def test_one_block_lemma_gives_the_map_without_a_scan(monkeypatch):
+    # a rule that reads one cell or none fixes 0, 1 or all 2^k supercells
+    # on the diagonal; with all fixed, each target's map is its memory rule
+    # witnessed by (0...0, 10...0), and no pair is scanned
+    counted = _CountedClosedPairs()
+    monkeypatch.setattr(emulation, "_closed_pairs", counted)
+    all_fixed = set()
+    for g in (0, 15, 51, 85, 170, 204, 240, 255):
+        targets = _orbit(g)
+        for k in range(1, 15):
+            n = 1 << k
+            fixed = int((emulation._diagonal_map(g, k) == np.arange(n, dtype=np.uint64)).sum())
+            assert fixed in (0, 1, n), (g, k, fixed)
+            if fixed < n:
+                continue
+            all_fixed.add(g)
+            counted.calls = 0
+            got = emulated_rule_map(R(g), k, targets)
+            assert got == {(t, ONE_BLOCK_MEMORY[t]): Encoding(Word(0, k), Word(1, k))
+                           for t in targets}, (g, k)
+            assert counted.calls == 0, (g, k)
+    assert all_fixed == set(ONE_BLOCK_MEMORY)
+
+
+def test_one_block_rules_fold_only_their_image_pairs(monkeypatch):
+    # without every supercell fixed, no two are, so the map takes one scan
+    # of at most the 2^k image pairs from _closed_pairs, in both orientations
+    counted = _CountedClosedPairs()
     monkeypatch.setattr(emulation, "_closed_pairs", counted)
     for g in (0, 15, 51, 85, 170, 204, 240, 255):
         for k in range(1, 11):
-            scanned.clear()
+            if (emulation._diagonal_map(g, k) == np.arange(1 << k, dtype=np.uint64)).all():
+                continue
+            counted.calls = counted.pairs = 0
             emulated_rule_map(R(g), k)
-            assert sum(scanned) <= 2 << k, (g, k, sum(scanned))
+            assert counted.calls == 1, (g, k)
+            assert counted.pairs <= 2 << k, (g, k, counted.pairs)
     # the listing still holds every oriented pair of two fixed points
     for g in ONE_BLOCK_ORBITS:
         for k in range(1, 7):
@@ -650,7 +688,8 @@ def _is_closed_subalgebra(s):
 def _closure(g, k, seeds):
     """The subalgebra of g's k-cell supercells that the seed words generate,
     the whole algebra included, as a set of ints."""
-    return set(emulation._close(g, k, [w.bits for w in seeds], 1 << k))
+    got = emulation._close(g, k, [w.bits for w in seeds], np.zeros(1 << k, dtype=bool))
+    return set(range(1 << k)) if got is None else set(got)
 
 
 def test_singleton_closure_examples():
@@ -769,23 +808,21 @@ def _closure_oracle(table, seeds):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), g=st.integers(0, 255), k=st.integers(1, 4))
 def test_close_is_the_capped_closure(data, g, k):
-    # _close gives the closure, or None exactly when it holds more than cap
-    # elements; marking elements whose own closure is full changes nothing
+    # _close gives the closure, or None exactly when it is the whole
+    # algebra; marking elements whose own closure is full changes nothing
     n = 1 << k
     table = _table(g, k)
     seeds = data.draw(st.lists(st.integers(0, n - 1), max_size=4), label="seeds")
     closure = _closure_oracle(table, seeds)
-    cap = data.draw(st.integers(1, n), label="cap")
-    got = emulation._close(g, k, seeds, cap)
-    assert (got is None) == (len(closure) > cap)
+    marks = np.zeros(n, dtype=bool)
+    got = emulation._close(g, k, seeds, marks)
+    assert (got is None) == (len(closure) == n)
     assert got is None or sorted(got) == sorted(closure)
     full = [u for u in range(n) if len(_closure_oracle(table, [u])) == n]
-    marks = np.zeros(n, dtype=bool)
     marks[full] = data.draw(st.lists(st.booleans(), min_size=len(full), max_size=len(full)),
                             label="marks")
-    cap = data.draw(st.integers(1, n - 1), label="cap below 2^k")
-    got = emulation._close(g, k, seeds, cap, marks)
-    assert (got is None) == (len(closure) > cap)
+    got = emulation._close(g, k, seeds, marks)
+    assert (got is None) == (len(closure) == n)
     assert got is None or sorted(got) == sorted(closure)
 
 
@@ -835,19 +872,18 @@ def test_full_closure_stops_within_a_few_tiles(g, k):
     assert words[0] <= 8 * emulation._CHUNK, words[0]
 
 
-def close_lexicographic(wolfram, k, seeds, cap, full_generators=None):
+def close_lexicographic(wolfram, k, seeds, full_generators):
     """_close with the triples of each block in lexicographic order, x
     slowest and z fastest, in chunks of _CHUNK; the reference for the
     skewed tiles."""
     n = 1 << k
-    marked = np.zeros(n, dtype=bool) if full_generators is None else full_generators
     member = np.zeros(n, dtype=bool)
     elems = list(dict.fromkeys(seeds))
     member[elems] = True
-    if len(elems) > cap or marked[elems].any():
+    if len(elems) == n or full_generators[elems].any():
         return None
     new_from = 0
-    while new_from < len(elems) < n:
+    while new_from < len(elems):
         old = np.array(elems[:new_from], dtype=np.uint64)
         new = np.array(elems[new_from:], dtype=np.uint64)
         cur = np.array(elems, dtype=np.uint64)
@@ -864,10 +900,8 @@ def close_lexicographic(wolfram, k, seeds, cap, full_generators=None):
                 if len(fresh):
                     member[fresh] = True
                     elems.extend(fresh.tolist())
-                    if len(elems) > cap or marked[fresh].any():
+                    if len(elems) == n or full_generators[fresh].any():
                         return None
-                    if len(elems) == n:
-                        return elems
     return elems
 
 
@@ -901,8 +935,8 @@ def search_per_element(g, k):
     fixed = []
     blows_up = np.zeros(n, dtype=bool)
     for u in range(n):
-        elems = emulation._close(g.wolfram, k, [u], n - 1, blows_up)
-        if elems is None or len(elems) == n:
+        elems = emulation._close(g.wolfram, k, [u], blows_up)
+        if elems is None:
             blows_up[u] = True
         elif len(elems) >= 2:
             return emulation._as_subalgebra(g, k, elems)
@@ -910,7 +944,7 @@ def search_per_element(g, k):
             fixed.append(u)
     for i, u in enumerate(fixed):
         for v in fixed[i + 1:]:
-            elems = emulation._close(g.wolfram, k, [u, v], n - 1, blows_up)
+            elems = emulation._close(g.wolfram, k, [u, v], blows_up)
             if elems is not None:
                 return emulation._as_subalgebra(g, k, elems)
     return None
@@ -965,7 +999,7 @@ def test_pair_phase_marks_only_full_pairs(pair_phase_cases):
         n = 1 << k
         assert np.array_equal(blows_up, emulation._diagonal_map(wolfram, k)
                               != np.arange(n, dtype=np.uint64))
-        closures = [emulation._close(wolfram, k, [u, v], n - 1)
+        closures = [emulation._close(wolfram, k, [u, v], np.zeros(n, dtype=bool))
                     for u, v in combinations(fix.tolist(), 2)]
         full = np.zeros(len(closures), dtype=bool)
         emulation._mark_full_pairs(wolfram, k, fix, full, 0, len(full))
@@ -1000,10 +1034,10 @@ def test_pair_phase_is_independent_of_the_chunk_size(pair_phase_cases, chunk, km
         """Per case, the answer and the seeds of every closure, in order."""
         runs = []
 
-        def recorded_close(wolfram, k, seeds, cap, marks):
+        def recorded_close(wolfram, k, seeds, marks):
             runs[-1][1].append(seeds)
             with mock.patch.object(emulation, "_CHUNK", default):
-                return close(wolfram, k, seeds, cap, marks)
+                return close(wolfram, k, seeds, marks)
 
         with mock.patch.object(emulation, "_CHUNK", chunk_size), \
                 mock.patch.object(emulation, "_close", recorded_close):
@@ -1032,7 +1066,7 @@ def singletons_closed_by_reference_sweep(g, k):
         if marked[u] or d[u] == u:
             continue
         closed.append(u)
-        if emulation._close(g.wolfram, k, [u], n - 1, marked) is not None:
+        if emulation._close(g.wolfram, k, [u], marked) is not None:
             break
         marked[u] = True
         while grew := [v for v in range(n) if not marked[v] and d[v] != v
@@ -1088,8 +1122,8 @@ def test_results_independent_of_partition_size(g, k, chunk):
 def test_rule_map_memory_stays_flat():
     # the enumeration scans and folds chunk by chunk; building the 523,776
     # pairs of the size-10 identity at once took ~94 MB.  The map of 204
-    # folds its triangle in closed form, so the scan behind the listing
-    # walks it here, and the map of 42 folds a triangle of 331,705 pairs
+    # scans no pair, so the scan behind the listing walks its triangle
+    # here, and the map of 42 folds a triangle of 331,705 pairs
     emulation._numpy()  # its freed 16 MiB block would read as the peak
     tracemalloc.start()
     try:
