@@ -188,11 +188,12 @@ class EmulationWitness:
 # Naive decision procedure: scan all encodings for one fixed candidate f.
 
 # The naive scan reads a full table of the supercell operation up to this
-# size (a 2^(3k)-entry list from _gk_table_list) and runs the batch kernel
-# over the encoding pairs above it.  Per call (best of 3 over all 256 f,
-# table built, 2-core VM) the table scan takes 3-15 us on 30 and 110 at
-# k = 2..6, the batched one 31-52 us; the batched one wins where most
-# supercells are fixed points: 204 from k = 4 (550 against 40 us at k = 6).
+# size (a 2^(3k)-entry list from _gk_table_list, through _naive_candidates)
+# and runs the batch kernel over the encoding pairs above it.  Per call
+# (best of 3 over all 256 f, table and candidates built, 2-core VM) the
+# table scan takes 0.6-2.2 us on 30 and 110 at k = 2..6, the batched one
+# 32-55 us; the batched one wins only where most supercells are fixed
+# points: 204 at k = 6 (~100 against ~40 us; even at k = 5).
 _TABLE_MAX_K = 6
 
 
@@ -203,8 +204,11 @@ def check_emulation_naive(f: EcaRule, g: EcaRule, k: int) -> Encoding | None:
     enc1 ascending (words read as little-endian integers), and returns the
     first pair satisfying all eight equations.  The two constant patterns
     (000, 111) read only g's diagonal, so they pick the candidate pairs and
-    the six mixed patterns are checked on those.  It shares no code with
-    the subalgebra enumeration, so each checks the other.
+    the six mixed patterns are checked on those.  Up to ``_TABLE_MAX_K``
+    the candidates and their six products come from g's table once per
+    (g, k), and each f only compares them with its own code words.  It
+    shares no code with the subalgebra enumeration, so each checks the
+    other.
     """
     _check_k(k)
     if k <= _TABLE_MAX_K:
@@ -227,31 +231,48 @@ def _gk_table_list(wolfram: int, k: int) -> list[int]:
     return rules._unravel_batch(wolfram, inputs, 3 * k, k).tolist()
 
 
-def _naive_scan_scalar(f: EcaRule, g: EcaRule, k: int) -> Encoding | None:
-    tab = _gk_table_list(g.wolfram, k)
-    fbits = [(f.wolfram >> i) & 1 for i in range(8)]
+@lru_cache(maxsize=16)
+def _naive_candidates(wolfram: int, k: int) -> tuple[list[tuple[int, ...]], ...]:
+    """For each (f(000), f(111)), entry 2*f(000) + f(111), the pairs (e0, e1)
+    the scalar scan visits, in scan order, each as (e0, e1, p1, ..., p6)
+    with p_i the supercell product of selection pattern i.  Pattern 000,
+    d(e0) = enc(f(000)) for the diagonal d: e1 = d(e0), or e0 is a fixed
+    point; then e1 != e0 and pattern 111, d(e1) = enc(f(111)).  None of it
+    depends on f, so the 256 scans of one (g, k) share it.  The largest
+    entry at k = 6, rule 15's, holds 4,032 pairs in ~0.4 MiB."""
+    tab = _gk_table_list(wolfram, k)
     n = 1 << k
     k2 = 2 * k
     d = tab[::1 + n + n * n]  # the diagonal, d[e] = tab[e | e << k | e << 2k]
     every = range(n)
-    for e0 in every:
-        # pattern 000, d(e0) = enc(f(000)): e1 = d(e0), or e0 is a fixed point
-        if fbits[0]:
-            e1s = (d[e0],)
-        elif d[e0] == e0:
-            e1s = every
-        else:
-            continue
-        for e1 in e1s:  # pattern 111, d(e1) = enc(f(111)), then the mixed ones
-            if e1 == e0 or d[e1] != (e1 if fbits[7] else e0):
-                continue
-            enc = (e0, e1)
-            for i in range(1, 7):
-                w = enc[(i >> 2) & 1] | enc[(i >> 1) & 1] << k | enc[i & 1] << k2
-                if tab[w] != enc[fbits[i]]:
-                    break
+    out = []
+    for f0, f7 in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        pairs = []
+        for e0 in every:
+            if f0:
+                e1s = (d[e0],)
+            elif d[e0] == e0:
+                e1s = every
             else:
-                return Encoding(Word(e0, k), Word(e1, k))
+                continue
+            for e1 in e1s:
+                if e1 == e0 or d[e1] != (e1 if f7 else e0):
+                    continue
+                enc = (e0, e1)
+                pairs.append((e0, e1, *(tab[enc[(i >> 2) & 1] | enc[(i >> 1) & 1] << k
+                                            | enc[i & 1] << k2] for i in range(1, 7))))
+        out.append(pairs)
+    return tuple(out)
+
+
+def _naive_scan_scalar(f: EcaRule, g: EcaRule, k: int) -> Encoding | None:
+    w = f.wolfram  # f_i is bit i of w
+    candidates = _naive_candidates(g.wolfram, k)[2 * (w & 1) + (w >> 7)]
+    for e0, e1, p1, p2, p3, p4, p5, p6 in candidates:
+        enc = (e0, e1)  # the six mixed patterns, p_i = enc(f_i)
+        if (p1 == enc[w >> 1 & 1] and p2 == enc[w >> 2 & 1] and p3 == enc[w >> 3 & 1]
+                and p4 == enc[w >> 4 & 1] and p5 == enc[w >> 5 & 1] and p6 == enc[w >> 6 & 1]):
+            return Encoding(Word(e0, k), Word(e1, k))
     return None
 
 
@@ -625,7 +646,7 @@ def verify_witness(w: EmulationWitness, length: int, horizon: int,
                 rng.setstate(state)
             fbits = _pack([rng.getrandbits(length) for _ in range(n)], length)
         gbits = _encode_bits(table, fbits, n * length)
-        rep = ((1 << k * n * length) - 1) // ((1 << k * length) - 1)
+        rep = _sample_starts(k * length, n)
         m = length
         for _t in range(horizon):
             width = (n - 1) * length + m  # up to the last valid cell
@@ -644,6 +665,14 @@ def _first_block(seed: int, length: int, n: int) -> tuple[int, tuple]:
     them.  A listing verified with one seed draws them once."""
     rng = random.Random(seed)
     return _pack([rng.getrandbits(length) for _ in range(n)], length), rng.getstate()
+
+
+@lru_cache(maxsize=8)
+def _sample_starts(width: int, n: int) -> int:
+    """One bit at the start of each of n packed samples of ``width`` bits,
+    the repeat of verify_witness's per-step comparison mask: a division of
+    a block-sized integer, the same for every witness of one size."""
+    return ((1 << width * n) - 1) // ((1 << width) - 1)
 
 
 def _encoding_table(enc: Encoding) -> np.ndarray:

@@ -229,6 +229,25 @@ def test_naive_scan_matches_literal_scan(emulators, sizes, branches, chunk):
         emulation._gk_table_list.cache_clear()
 
 
+@pytest.mark.parametrize("k", range(1, emulation._TABLE_MAX_K + 1))
+def test_naive_scan_reads_its_table_and_candidates_once_per_emulator(k):
+    # the 256 scans of one (g, k) share what does not depend on f: one
+    # table read and one candidate build, not one of each per f
+    try:
+        for g in (30, 110, 204):
+            emulation._gk_table_list.cache_clear()
+            emulation._naive_candidates.cache_clear()
+            for f in range(256):
+                check_emulation_naive(R(f), R(g), k)
+            table = emulation._gk_table_list.cache_info()
+            candidates = emulation._naive_candidates.cache_info()
+            assert (table.hits, table.misses) == (0, 1), (g, k)
+            assert (candidates.hits, candidates.misses) == (255, 1), (g, k)
+    finally:
+        emulation._gk_table_list.cache_clear()
+        emulation._naive_candidates.cache_clear()
+
+
 @needs_extended
 def test_naive_scan_matches_literal_scan_extended():
     # no rule emulates an f with f(000) = 1, f(111) = 0 at size 4
@@ -870,6 +889,35 @@ def test_full_closure_stops_within_a_few_tiles(g, k):
             mock.patch.object(emulation, "_unravel_batch", counted_kernel):
         assert proper_subalgebra_search(R(g), k) is None
     assert words[0] <= 8 * emulation._CHUNK, words[0]
+
+
+@pytest.mark.parametrize("emulators, sizes, work", [
+    ((30, 45), range(2, 12), (271, 306_788, 22)),
+    # these reach the pair phase, with 14, 64, 64 and 128 fixed points at k = 7
+    ((37, 60, 90, 150), range(2, 8), (2_466, 5_730_533, 149)),
+], ids=["chaotic-sizes-2-11", "pair-phase-sizes-2-7"])
+def test_subalgebra_search_kernel_work_is_pinned(emulators, sizes, work):
+    # the work, not the time: kernel calls, kernel words and closures depend
+    # only on the code and _CHUNK.  A closure that runs on past a marked
+    # element answers the same, and only these counts see it.
+    kernel, close = emulation._unravel_batch, emulation._close
+    counts = {"calls": 0, "words": 0, "closures": 0}
+
+    def counted_kernel(wolfram, w, *args):
+        counts["calls"] += 1
+        counts["words"] += len(w)
+        return kernel(wolfram, w, *args)
+
+    def counted_close(*args):
+        counts["closures"] += 1
+        return close(*args)
+
+    with mock.patch.object(emulation, "_unravel_batch", counted_kernel), \
+            mock.patch.object(emulation, "_close", counted_close):
+        for g in emulators:
+            for k in sizes:
+                proper_subalgebra_search(R(g), k)
+    assert (counts["calls"], counts["words"], counts["closures"]) == work
 
 
 def close_lexicographic(wolfram, k, seeds, full_generators):

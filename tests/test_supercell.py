@@ -14,7 +14,7 @@ from eca_emulation import (
     supercell_step,
     unravel,
 )
-from eca_emulation.emulation import _gk_table_list
+from eca_emulation.emulation import _gk_table_list, _naive_candidates
 from eca_emulation.rules import MAX_SUPERCELL_BITS, _unravel_batch, _unravel_bits
 
 
@@ -131,11 +131,13 @@ def test_supercell_step_equals_iterated_unravel():
 
 
 def test_table_cache_memory_is_bounded():
-    # A table of size 6 is a list of 2^18 entries (~2 MiB).  The naive scan,
-    # the one reader of the tables, must not keep one for each of many
-    # emulators it scans at that size; the supercell operation builds none.
+    # A table of size 6 is a list of 2^18 entries (~2 MiB), and its naive
+    # scan candidates up to ~0.4 MiB.  The naive scan, the one reader of
+    # both, must not keep them for each of many emulators it scans at that
+    # size; the supercell operation builds none.
     zero = rule_from_wolfram(0)
     _gk_table_list.cache_clear()
+    _naive_candidates.cache_clear()
     tracemalloc.start()
     try:
         for n in range(64):
