@@ -614,16 +614,32 @@ def verify_witness(w: EmulationWitness, length: int, horizon: int,
     so a witness violating the defining equations fails regardless of the
     sample draw.
 
+    Step t is checked against step t - 1, not against the start: with F_t
+    f's t-th step, enc(F_t) is compared with k steps of g on enc(F_(t-1)),
+    on the m_t = length - 2t valid cells.  Output cell i reads only input
+    cells i..i+2k, valid cells of step t - 1, where enc(F_(t-1)) equals
+    k*(t-1) steps of g on the encoded start if every earlier step agreed.
+    So by induction step t agrees in both forms or fails in both, and both
+    give the same first failure and the same verdict.
+
     The samples are checked side by side: consecutive draws are packed into
-    one integer, sample j at cell offset j*length, and every unravelling
-    step runs once on the whole word.  A window never mixes the valid
-    cells of two samples, and the garbage it makes lands only in cells the
-    step drops, so each step ends with one masked comparison.  The draws
-    are the same as one sample at a time, so the verdict is too, bit for
-    bit.  Blocks of at most ``_VERIFY_BITS`` encoded bits bound memory.
-    The first block's draws are cached per (seed, length, size), so
-    verifying a listing with one seed draws and packs them once; later
-    blocks continue from the generator state saved with them.
+    one integer, sample j at cell offset j*length, in blocks of n samples
+    and at most ``_VERIFY_BITS`` encoded bits (or one sample).  A window
+    never mixes the valid cells of two samples, and the garbage it makes
+    lands only in cells the comparison masks.  The steps run in groups of
+    s = max(1, _VERIFY_BITS // (k*n*length) - 1): steps t0..t0+s side by
+    side, one segment each, one g-side kernel call over segments
+    t0..t0+s-1 and one masked comparison with segments t0+1..t0+s.  So a
+    group holds about two blocks of bits whatever the horizon.  The draws
+    are the same as one sample at a time, so the verdict is too, bit for bit.
+
+    Every encoding of one f shares the first group of the first block:
+    enc(x) = e0 * R ^ (e0 ^ e1) * spread(x), R the repunit of k-cell blocks
+    and spread(x) the encoding with codes 0 and 1, as no block carries into
+    the next.  ``_first_group`` caches spread and R, so verifying a listing,
+    which ascends by f, builds one trajectory per run of f.  Later groups
+    and blocks are encoded through the witness's own table, and later blocks
+    continue from the generator state cached with the first block's draws.
     """
     if horizon < 0:
         raise ValueError(f"negative horizon {horizon}")
@@ -634,26 +650,34 @@ def verify_witness(w: EmulationWitness, length: int, horizon: int,
     if not w.holds():
         return False
     f, g, k = w.emulated.wolfram, w.emulator.wolfram, w.k
-    table = _encoding_table(w.encoding)
+    e0 = w.encoding.enc0.bits
+    flip = e0 ^ w.encoding.enc1.bits
     per_block = max(1, _VERIFY_BITS // (k * length))
-    for lo in range(0, samples, per_block):
+    for lo in range(0, samples if horizon else 0, per_block):  # no step, no check
         n = min(per_block, samples - lo)
+        seg = k * n * length  # encoded bits a step
+        per_group = max(1, _VERIFY_BITS // seg - 1)
+        if lo or horizon > per_group:  # some step of this block is not cached
+            table = _encoding_table(w.encoding)
         if not lo:
-            fbits, state = _first_block(seed, length, n)
+            spread, rep, fbits, state = _first_group(f, k, seed, length, n,
+                                                     min(per_group, horizon))
         else:
             if lo == per_block:  # later blocks continue the first block's draws
                 rng = random.Random()
                 rng.setstate(state)
             fbits = _pack([rng.getrandbits(length) for _ in range(n)], length)
-        gbits = _encode_bits(table, fbits, n * length)
-        rep = _sample_starts(k * length, n)
-        m = length
-        for _t in range(horizon):
-            width = (n - 1) * length + m  # up to the last valid cell
-            fbits = _unravel_bits(f, fbits, width, 1)
-            gbits = _unravel_bits(g, gbits, k * width, k)
-            m -= 2
-            if (_encode_bits(table, fbits, width - 2) ^ gbits) & rep * ((1 << k * m) - 1):
+            top = _encode_bits(table, fbits, n * length)
+        for t0 in range(0, horizon, per_group):
+            s = min(per_group, horizon - t0)
+            if lo or t0:
+                high, fbits = _encoded_steps(table, f, fbits, n * length, t0, s)
+                low = top | (high & ((1 << (s - 1) * seg) - 1)) << seg
+            else:
+                low = e0 * rep ^ flip * spread
+                high = low >> seg
+            top = high >> (s - 1) * seg  # step t0 + s starts the next group
+            if (_unravel_bits(g, low, s * seg, k) ^ high) & _group_mask(k, length, n, t0, s):
                 return False
     return True
 
@@ -668,10 +692,49 @@ def _first_block(seed: int, length: int, n: int) -> tuple[int, tuple]:
 
 
 @lru_cache(maxsize=8)
+def _first_group(f: int, k: int, seed: int, length: int, n: int,
+                 s: int) -> tuple[int, int, int, tuple]:
+    """verify_witness's first group of steps of its first block, for every
+    encoding at once: the s + 1 steps spread to k bits a cell (the encoding
+    with codes 0 and 1), the repunit of k-bit blocks over them, step s, and
+    the generator state of ``_first_block``.  The witnesses of one f in a
+    listing build it once.  An entry holds about four blocks of bits, or
+    four samples' worth when one sample fills a block."""
+    first, state = _first_block(seed, length, n)
+    table, seg = _encoding_table(Encoding(Word(0, k), Word(1, k))), n * length
+    steps, fbits = _encoded_steps(table, f, first, seg, 0, s)
+    spread = _encode_bits(table, first, seg) | steps << k * seg
+    return spread, ((1 << k * (s + 1) * seg) - 1) // ((1 << k) - 1), fbits, state
+
+
+def _encoded_steps(table: np.ndarray, f: int, fbits: int, cells: int, t0: int,
+                   s: int) -> tuple[int, int]:
+    """Steps t0+1..t0+s of rule f on a block of packed samples, ``cells``
+    cells in all, given step t0: side by side, one segment of ``cells``
+    each, encoded through an _encoding_table; and step t0+s, where the next
+    group starts."""
+    words = []
+    for t in range(t0, t0 + s):
+        fbits = _unravel_bits(f, fbits, cells - 2 * t, 1)
+        words.append(fbits)
+    return _encode_bits(table, _pack(words, cells), s * cells), fbits
+
+
+@lru_cache(maxsize=8)
+def _group_mask(k: int, length: int, n: int, t0: int, s: int) -> int:
+    """The valid cells of verify_witness's steps t0+1..t0+s of n encoded
+    samples, step t0+1+j in segment j: one group's comparison mask, the
+    same for every witness of one size."""
+    starts = _sample_starts(k * length, n)
+    return _pack([(starts << k * (length - 2 * t)) - starts
+                  for t in range(t0 + 1, t0 + s + 1)], k * n * length)
+
+
+@lru_cache(maxsize=8)
 def _sample_starts(width: int, n: int) -> int:
     """One bit at the start of each of n packed samples of ``width`` bits,
-    the repeat of verify_witness's per-step comparison mask: a division of
-    a block-sized integer, the same for every witness of one size."""
+    the repeat of each segment of a _group_mask: a division of a
+    block-sized integer, the same for every group of one block size."""
     return ((1 << width * n) - 1) // ((1 << width) - 1)
 
 

@@ -8,6 +8,7 @@ import platform
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from eca_emulation import (
     transitive_reduction,
     verify_witness,
 )
-from eca_emulation import cli, hierarchy
+from eca_emulation import cli, emulation, hierarchy
 from eca_emulation.hierarchy import HierarchyGraph, _load_shard, _store_shard
 from eca_emulation.rules import _unravel_batch
 from eca_emulation.words import Word
@@ -611,6 +612,25 @@ def test_sweep_cells_match_the_pair_space_oracle(k):
     cells = _sweep_cells(k)
     wrong = [g for g in hierarchy.REPS if cells[g] != _pair_space_cell(g, k)]
     assert wrong == []
+
+
+@pytest.mark.parametrize("K, work", [
+    pytest.param(9, (4_668, 2_157_732), id="9"),
+    pytest.param(11, (6_336, 13_400_016), marks=needs_extended, id="extended-11"),
+])
+def test_sweep_kernel_work_is_pinned(K, work):
+    # the work, not the time: a serial sweep's kernel calls and words
+    # depend only on the code and _CHUNK
+    kernel, counts = emulation._unravel_batch, [0, 0]
+
+    def counted_kernel(wolfram, w, *args):
+        counts[0] += 1
+        counts[1] += len(w)
+        return kernel(wolfram, w, *args)
+
+    with mock.patch.object(emulation, "_unravel_batch", counted_kernel):
+        compute_hierarchy(K)
+    assert tuple(counts) == work
 
 
 # --- transitive reduction ------------------------------------------------

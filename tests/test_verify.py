@@ -3,7 +3,9 @@
 import functools
 import os
 import random
+import tracemalloc
 from itertools import permutations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from eca_emulation import (
     check_emulation_naive,
     compose_witnesses,
     decode_config,
+    emulated_rules,
     encode_config,
     rule_from_wolfram,
     verify_witness,
@@ -127,6 +130,88 @@ def test_packed_check_block_boundaries(monkeypatch):
             assert verify_witness(w, 3, 1, samples, seed) == expected
         late += verify_per_sample(w, 3, 1, 21, seed)
     assert late  # some seeds pass the whole first block
+
+
+def first_failing_step(w, length, horizon, seed):
+    """The first step at which verify_per_sample fails one sample, or None."""
+    return next((t for t in range(1, horizon + 1)
+                 if not verify_per_sample(w, length, t, 1, seed)), None)
+
+
+def test_step_groups_match_per_sample_reference(monkeypatch):
+    # With 76-bit blocks one 19-cell sample runs its 9 steps in three
+    # groups (steps 1-3, 4-6, 7-9), and 9 samples fill blocks of 4, 4 and
+    # 1, the full ones a group per step.  Rule 0 under rule 128 (they
+    # differ only on 111) fails at step 1 or never, as 0 erases every 111;
+    # rule 120 under 121 (they differ only on 000) fails first in any step,
+    # as 120's steps make 000 where the sample had none.
+    monkeypatch.setattr(emulation, "_VERIFY_BITS", 76)
+    monkeypatch.setattr(EmulationWitness, "holds", lambda self: True)
+    code = Encoding(Word(0, 1), Word(1, 1))
+    early = EmulationWitness(R(0), R(128), 1, code)
+    late = EmulationWitness(R(120), R(121), 1, code)
+    good = EmulationWitness(R(184), R(148), 2, check_emulation_naive(R(184), R(148), 2))
+    length, horizon = 19, 9
+    groups = set()
+    for seed in range(300):
+        for w in (early, late, good):
+            for samples in (1, 2, 9):
+                for h in (horizon, 4):
+                    expected = verify_per_sample(w, length, h, samples, seed)
+                    assert verify_witness(w, length, h, samples, seed) == expected, (w, seed)
+        for w in (early, late):
+            t = first_failing_step(w, length, horizon, seed)
+            if t is not None:
+                groups.add((w is late, (t - 1) // 3))
+    assert groups == {(False, 0), (True, 0), (True, 1), (True, 2)}
+
+
+def test_verify_builds_one_trajectory_per_run_of_f():
+    # a listing ascends by f, so its witnesses share the first group of
+    # steps of one f: the kernel runs twice for holds() and once for the
+    # g side of each witness, and five f steps per run of f
+    kernel, counted = emulation._unravel_bits, []
+
+    def counting_kernel(*args):
+        counted.append(args[0])
+        return kernel(*args)
+
+    for g, k in ((54, 4), (184, 3), (204, 2), (30, 1)):
+        entries = emulated_rules(R(g), k)
+        runs = 1 + sum(a[0] != b[0] for a, b in zip(entries, entries[1:]))
+        emulation._first_group.cache_clear()
+        counted.clear()
+        with mock.patch.object(emulation, "_unravel_bits", counting_kernel):
+            for f, enc in entries:
+                assert verify_witness(EmulationWitness(f, R(g), k, enc), 30, 5, seed=1)
+        info = emulation._first_group.cache_info()
+        assert (info.misses, info.hits) == (runs, len(entries) - runs), (g, k)
+        assert len(counted) == 3 * len(entries) + 5 * runs, (g, k)
+    # one f at two sizes keeps two trajectories
+    for k in (2, 3, 2):
+        assert verify_witness(EmulationWitness(R(204), R(204), k, Encoding(Word(0, k), Word(1, k))),
+                              30, 5, seed=1)
+    # 1,000 steps of 3 samples at k = 2: 50 groups of 20, one g call each,
+    # and holds() one call per rule
+    good = EmulationWitness(R(184), R(148), 2, check_emulation_naive(R(184), R(148), 2))
+    counted.clear()
+    with mock.patch.object(emulation, "_unravel_bits", counting_kernel):
+        assert verify_witness(good, 2001, 1000, 3)
+    assert (counted.count(148), counted.count(184)) == (1 + 50, 1 + 1000)
+
+
+def test_long_horizon_memory_is_bounded():
+    # a group of 31 steps holds ~31 KiB a word; the 2,001 steps of this
+    # sample side by side would hold ~2 MB a word
+    good = EmulationWitness(R(184), R(148), 2, check_emulation_naive(R(184), R(148), 2))
+    assert verify_witness(good, 41, 20, 3)  # numpy and the kernels loaded
+    tracemalloc.start()
+    try:
+        assert verify_witness(good, 4001, 2000, 1, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_encode_config_matches_per_byte_reference():
